@@ -12,12 +12,14 @@ Six classical bases are supported, named by single letters:
   p  power sums            h  complete homogeneous   e  elementary
   s  Schur                 m  monomial               f  forgotten
 
-h and e are multiplicative with the standard power-sum expansions; s comes
-from the Jacobi-Trudi determinant over h; m is produced degree by degree by
-solving the duality relation <m_lam, h_mu> = delta against power-sum
-coordinates (f = omega m).  Conversions are cached per index, so repeated
-use is cheap.  SymFunc values are immutable once built and all functions
-are pure; concurrent readers are safe and cache refills are idempotent.
+h and e are multiplicative with the standard power-sum expansions.  The
+p_mu coordinates of s and m are integers over z_mu: for s_lam the character
+chi^lam(mu), by the Murnaghan-Nakayama rule; for m_lam the h_lam coordinate
+of p_mu, since m is dual to h (f = omega m).  The Jacobi-Trudi determinant
+over h stays as an independent route to s and to signed sequences.
+Conversions are cached per index, so repeated use is cheap.  SymFunc values
+are immutable once built and all functions are pure; concurrent readers are
+safe and cache refills are idempotent.
 """
 
 from __future__ import annotations
@@ -327,41 +329,62 @@ def jacobi_trudi(seq: Iterable[int]) -> "SymFunc":
 
 @lru_cache(maxsize=None)
 def _s_p(lam: Partition) -> _PDict:
-    # Schur function via the Jacobi-Trudi determinant over h.
-    return _jt_dp(tuple(lam))
+    """Schur function: <s_lam, p_mu> is the character chi^lam(mu), by the
+    Murnaghan-Nakayama rule on beta-sets.  Bit b of a mask marks a first
+    column hook length lam_i + l - i; removing a rim hook of size r moves a
+    set bit b down to a clear bit b - r, with sign (-1)^(bits jumped over)."""
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def chi(mask: int, rest: tuple[int, ...]) -> int:
+        if not rest:
+            return 1
+        key = (mask, rest)
+        total = memo.get(key)
+        if total is None:
+            r = rest[0]
+            between = (1 << (r - 1)) - 1
+            total = 0
+            movable = (mask & ~(mask << r)) >> r << r
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                sub = chi(mask ^ low ^ (low >> r), rest[1:])
+                if sub:
+                    jumped = (mask >> (low.bit_length() - r)) & between
+                    total += -sub if jumped.bit_count() % 2 else sub
+            memo[key] = total
+        return total
+
+    top = len(lam) - 1
+    start = sum(1 << (p + top - j) for j, p in enumerate(lam))
+    return {
+        mu: Fraction(c, z_value(mu)) for mu in partitions_of(sum(lam)) if (c := chi(start, mu))
+    }
 
 
 @lru_cache(maxsize=None)
-def _pairing_rows(n: int):
-    """For degree n: partitions ordered with length ascending, and for each
-    mu the row {nu: <h_mu, p_nu>}.  A nonzero entry forces nu to refine mu,
-    so the rows are triangular in this order."""
-    order = sorted(partitions_of(n), key=len)
-    rows = [{nu: c * z_value(nu) for nu, c in _h_p(mu).items()} for mu in order]
-    return order, rows
+def _p_h(mu: Partition) -> dict:
+    """p_mu in h-coordinates, an integer dict {nu: c} with p_mu = sum c h_nu.
+    h is multiplicative, so these multiply like power-sum coordinates; a
+    single part comes from Newton's identity
+    p_n = sum_{nu |- n} (-1)^{l-1} n (l-1)! / prod_i m_i(nu)! h_nu."""
+    if len(mu) > 1:
+        return _dict_mul(_p_h(_wrap(mu[:1])), _p_h(_wrap(mu[1:])))
+    if not mu:
+        return {EMPTY: 1}
+    n = mu[0]
+    # r_coefficient(nu) = (-1)^{n-l} l! / prod_i m_i(nu)!
+    sign = -1 if n % 2 == 0 else 1
+    return {nu: sign * n * r_coefficient(nu) // len(nu) for nu in partitions_of(n)}
 
 
 @lru_cache(maxsize=None)
 def _m_p(lam: Partition) -> _PDict:
-    """Monomial symmetric function: solve <m_lam, h_mu> = delta by back
-    substitution over the triangular pairing rows of its degree."""
-    n = sum(lam)
-    if n == 0:
-        return {EMPTY: Fraction(1)}
-    order, rows = _pairing_rows(n)
-    coords: _PDict = {}
-    for i in range(len(order) - 1, -1, -1):
-        mu = order[i]
-        row = rows[i]
-        acc = Fraction(1 if mu == lam else 0)
-        for nu, g in row.items():
-            if nu != mu:
-                x = coords.get(nu)
-                if x:
-                    acc -= g * x
-        if acc:
-            coords[mu] = acc / row[mu]
-    return coords
+    """Monomial symmetric function: <m_lam, p_mu> = [h_lam] p_mu, the
+    h-dual of m, so the p_mu coordinate is that integer over z_mu."""
+    return {
+        mu: Fraction(c, z_value(mu)) for mu in partitions_of(sum(lam)) if (c := _p_h(mu).get(lam))
+    }
 
 
 @lru_cache(maxsize=None)

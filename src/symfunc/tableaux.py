@@ -132,7 +132,8 @@ def syt_count(lam: Partition) -> int:
         for j in range(row):
             hooks *= row + conj[j] - i - j - 1
     count, rem = divmod(math.factorial(n), hooks)
-    assert rem == 0, f"hook product does not divide {n}! for shape {lam}"
+    if rem:
+        raise ArithmeticError(f"hook product does not divide {n}! for shape {lam}")
     return count
 
 
@@ -245,14 +246,16 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
     if method == "det":
         poly = theta(bounded_height_schur_sum(n, k, method="formula"))
         value = poly.coefficient(n) * math.factorial(n)
-        assert value.denominator == 1, "pair count came out non-integral"
+        if value.denominator != 1:
+            raise ArithmeticError("pair count came out non-integral")
         return int(value)
     if method != "closed":
         raise ValueError("method must be one of 'closed', 'det', 'brute'")
     total = Fraction(0)
     for s, term in _closed_form_terms(n, k):
         total += term
-    assert total.denominator == 1, "pair count came out non-integral"
+    if total.denominator != 1:
+        raise ArithmeticError("pair count came out non-integral")
     return int(total)
 
 

@@ -1,0 +1,68 @@
+"""The cached basis conversions hand their dicts to every caller.
+
+A caller that wrote into one would change every later result that reads
+it, so fingerprint each cached value, run the public operations over the
+same degrees, and require every value to come out unchanged.
+"""
+
+from symfunc import ring
+from symfunc.partitions import partitions_of
+from symfunc.ring import BASES, basis_element, expand, inner_product, omega, skew
+from symfunc.tableaux import bounded_height_pairs
+from symfunc.vertex import OPERATOR_PARAMS, OperatorSpec, apply_operator
+
+DEGREE = 8
+
+# Conversions cached per partition, and per degree n.
+PARTITION_CACHES = ("_h_p", "_e_p", "_s_p", "_m_p", "_f_p", "_p_h")
+DEGREE_CACHES = ("_hn_p", "_en_p")
+
+
+def _cached_values():
+    for name in PARTITION_CACHES:
+        fn = getattr(ring, name)
+        for d in range(DEGREE + 1):
+            for lam in partitions_of(d):
+                yield (name, lam), fn(lam)
+    for name in DEGREE_CACHES:
+        fn = getattr(ring, name)
+        for n in range(DEGREE + 1):
+            yield (name, n), fn(n)
+
+
+def _fingerprints():
+    return {key: (id(value), sorted(value.items())) for key, value in _cached_values()}
+
+
+def _sweep():
+    shapes = [lam for d in range(1, 5) for lam in partitions_of(d)]
+    for lam in shapes:
+        for mu in shapes:
+            if sum(lam) + sum(mu) > DEGREE:
+                continue
+            for b in BASES:
+                f, g = basis_element(b, lam), basis_element(b, mu)
+                for dst in BASES:
+                    expand(f * g, dst)
+                expand(omega(f) - f, b)
+                skew(g, f)
+                skew(f, f * g)
+                inner_product(f, g)
+    for name, (takes_a, takes_k) in OPERATOR_PARAMS.items():
+        if name == "EVERY":
+            continue
+        spec = OperatorSpec(name, 2 if takes_a else None, 2 if takes_k else None)
+        for lam in shapes:
+            if sum(lam) <= 3:
+                for b in BASES:
+                    expand(apply_operator(spec, basis_element(b, lam)), b)
+    for method in ("closed", "det", "brute"):
+        bounded_height_pairs(DEGREE, 3, method)
+
+
+def test_cached_conversions_survive_a_sweep():
+    before = _fingerprints()
+    _sweep()
+    after = _fingerprints()
+    changed = [key for key in before if after[key] != before[key]]
+    assert not changed, f"cached conversions changed: {changed[:5]}"

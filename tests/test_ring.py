@@ -20,6 +20,7 @@ from symfunc.ring import (
     r_coefficient,
     skew,
 )
+from symfunc.tableaux import syt_count
 
 P = Partition
 
@@ -223,3 +224,37 @@ def test_monomial_conversion_against_known_values():
     assert basis_element("m", P((2,))) == pn(2)
     assert basis_element("m", P((1, 1))) == Fraction(1, 2) * (pn(1) * pn(1) - pn(2))
     assert basis_element("m", P((2, 1))) == pn(2) * pn(1) - pn(3)
+
+
+# --- the Schur and monomial constructions against independent routes -------
+
+
+def test_schur_equals_jacobi_trudi_through_degree_10():
+    for lam in all_parts_upto(10):
+        assert basis_element("s", lam) == jacobi_trudi(lam), lam
+
+
+def test_monomial_h_duality_degrees_9_and_10():
+    for n in (9, 10):
+        shapes = list(partitions_of(n))
+        for lam in shapes:
+            m = basis_element("m", lam)
+            for mu in shapes:
+                delta = 1 if lam == mu else 0
+                assert inner_product(m, basis_element("h", mu)) == delta, (lam, mu)
+
+
+def test_schur_spot_check_degree_15():
+    lam = P((5, 4, 3, 2, 1))
+    s = basis_element("s", lam)
+    assert s == jacobi_trudi(lam)
+    # <s_lam, p_1^n> = chi^lam(1^n) is the number of standard tableaux
+    assert s.coefficient((1,) * 15) * z_value(P((1,) * 15)) == syt_count(lam)
+
+
+def test_monomial_spot_check_degree_15():
+    lam = P((5, 4, 3, 2, 1))
+    m = basis_element("m", lam)
+    for mu in partitions_of(15):
+        assert inner_product(m, basis_element("h", mu)) == (1 if mu == lam else 0), mu
+    assert basis_element("m", P((1,) * 15)) == en(15)
