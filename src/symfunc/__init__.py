@@ -55,7 +55,6 @@ from .vertex import (
     t_minus_x_sum,
 )
 from .tableaux import (
-    UniPoly,
     bounded_height_pairs,
     bounded_height_schur_sum,
     catalan,

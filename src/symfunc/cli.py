@@ -20,13 +20,11 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .expressions import ParseError, parse_expression
+from .expressions import parse_expression
 from .ring import BASES, expand, inner_product
 from .tableaux import ONE_ROW_METHODS, _closed_form_terms, bounded_height_pairs
-from .vertex import OPERATOR_PARAMS, OperatorSpec, apply_operator
+from .vertex import OPERATORS, OperatorSpec, apply_operator
 from .verify import DEFAULT_SUITES, SUITES, Bounds, run_suites
-
-_OPERATOR_NAMES = tuple(name for name in OPERATOR_PARAMS if name != "EVERY")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_apply = sub.add_parser("apply", help="apply a vertex operator")
     p_apply.add_argument("expr")
-    p_apply.add_argument("--op", choices=_OPERATOR_NAMES, required=True)
+    p_apply.add_argument("--op", choices=tuple(OPERATORS), required=True)
     p_apply.add_argument("--a", type=int, default=None)
     p_apply.add_argument("--k", type=int, default=None)
     p_apply.add_argument("--basis", choices=BASES, default="p")
@@ -131,10 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ok = run_suites(names, bounds, sys.stdout)
             return 0 if ok else 1
 
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

@@ -131,6 +131,18 @@ class SymFunc:
     def one(cls) -> "SymFunc":
         return cls._raw({EMPTY: Fraction(1)})
 
+    @classmethod
+    def sum(cls, terms: Iterable["SymFunc"]) -> "SymFunc":
+        """The sum of ``terms``, accumulated in place into one dict, which
+        starts as a copy of a term's dict so that no shared dict is written."""
+        out: _PDict = {}
+        for term in terms:
+            if out:
+                _dict_add(out, term._terms)
+            else:
+                out = dict(term._terms)
+        return cls._raw(out)
+
     def items(self) -> Iterator[tuple[Partition, Fraction]]:
         return iter(self._terms.items())
 
@@ -170,6 +182,10 @@ class SymFunc:
     def __mul__(self, other: Union["SymFunc", ScalarLike]) -> "SymFunc":
         if isinstance(other, SymFunc):
             return SymFunc._raw(_dict_mul(self._terms, other._terms))
+        if other == 1:  # the operator sums scale by signs; SymFunc is immutable
+            return self
+        if other == -1:
+            return -self
         c = Fraction(other)
         if not c:
             return SymFunc.zero()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .partitions import (
     Composition,
@@ -34,92 +34,6 @@ from .ring import SymFunc, hn, jacobi_trudi
 from .vertex import cs_column
 
 ONE_ROW_METHODS = ("closed", "det", "brute")
-
-
-class UniPoly:
-    """A polynomial in one variable with exact rational coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, Fraction | int] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if exp < 0:
-                    raise ValueError("exponents must be non-negative")
-                c = Fraction(c)
-                if c:
-                    clean[exp] = c
-        self._coeffs = clean
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls({0: 1})
-
-    def coefficient(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
-
-    def items(self):
-        return iter(sorted(self._coeffs.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def degree(self) -> int:
-        return max(self._coeffs, default=0)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        out = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            v = out.get(exp, 0) + c
-            if v:
-                out[exp] = v
-            else:
-                del out[exp]
-        res = UniPoly.__new__(UniPoly)
-        res._coeffs = out
-        return res
-
-    def __mul__(self, other: "UniPoly | Fraction | int") -> "UniPoly":
-        out: dict[int, Fraction] = {}
-        if isinstance(other, UniPoly):
-            for e1, c1 in self._coeffs.items():
-                for e2, c2 in other._coeffs.items():
-                    v = out.get(e1 + e2, 0) + c1 * c2
-                    if v:
-                        out[e1 + e2] = v
-                    else:
-                        del out[e1 + e2]
-        else:
-            c = Fraction(other)
-            if c:
-                out = {e: v * c for e, v in self._coeffs.items()}
-        res = UniPoly.__new__(UniPoly)
-        res._coeffs = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UniPoly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        return " + ".join(
-            f"{c}" if e == 0 else (f"{c}*x^{e}" if c != 1 else f"x^{e}")
-            for e, c in sorted(self._coeffs.items())
-        )
 
 
 def syt_count(lam: Partition) -> int:
@@ -160,25 +74,16 @@ def syt_count_brute(lam: Partition) -> int:
     return place(1)
 
 
-def theta(g: SymFunc) -> UniPoly:
-    """The exponential specialization: the algebra map with h_n -> x^n / n!.
+def theta(g: SymFunc) -> dict[int, Fraction]:
+    """The exponential specialization: the algebra map with h_n -> x^n / n!,
+    as a polynomial {exponent: coefficient} with no zero coefficients.
 
     In power-sum coordinates it keeps exactly the all-ones indices, sending
     p_{1^m} to x^m and every other power-sum monomial to zero; a Schur
-    function s_lam maps to f_lam x^{|lam|} / |lam|!.
+    function s_lam maps to f_lam x^{|lam|} / |lam|!.  Each exponent m has
+    the single all-ones index 1^m, so nothing accumulates.
     """
-    coeffs: dict[int, Fraction] = {}
-    for lam, c in g.items():
-        if all(part == 1 for part in lam):
-            exp = len(lam)
-            v = coeffs.get(exp, 0) + c
-            if v:
-                coeffs[exp] = v
-            else:
-                del coeffs[exp]
-    poly = UniPoly.__new__(UniPoly)
-    poly._coeffs = coeffs
-    return poly
+    return {len(lam): c for lam, c in g.items() if all(part == 1 for part in lam)}
 
 
 def _multinomial(n: int, parts: Composition) -> int:
@@ -200,12 +105,11 @@ def bounded_height_schur_sum(n: int, k: int, method: str = "formula") -> SymFunc
         return cs_column(0, k, hn(1) ** n)
     if method != "formula":
         raise ValueError("method must be 'formula' or 'operator'")
-    out = SymFunc.zero()
-    for s in compositions_of(n, k):
-        det = jacobi_trudi(s)
-        if not det.is_zero:
-            out = out + _multinomial(n, s) * det
-    return out
+    return SymFunc.sum(
+        _multinomial(n, s) * det
+        for s in compositions_of(n, k)
+        if not (det := jacobi_trudi(s)).is_zero
+    )
 
 
 def rs0_power_expansion(n: int, k: int) -> SymFunc:
@@ -216,18 +120,12 @@ def rs0_power_expansion(n: int, k: int) -> SymFunc:
 
     Must agree with rs_rows(0, k, h_1^n).
     """
-    out = SymFunc.zero()
-    h1 = hn(1)
-    for l in range(n + 1):
-        sign = -1 if (n - l) % 2 else 1
-        lead = h1 ** l
-        for s in compositions_of(n - l, k):
-            det = jacobi_trudi(s)
-            if det.is_zero:
-                continue
-            coeff = sign * _multinomial(n, (l,) + tuple(s))
-            out = out + coeff * lead * det
-    return out
+    return SymFunc.sum(
+        (-1) ** (n - l) * _multinomial(n, (l,) + tuple(s)) * hn(1) ** l * det
+        for l in range(n + 1)
+        for s in compositions_of(n - l, k)
+        if not (det := jacobi_trudi(s)).is_zero
+    )
 
 
 def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
@@ -245,15 +143,13 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
         return sum(syt_count(lam) ** 2 for lam in partitions_of(n, max_length=k))
     if method == "det":
         poly = theta(bounded_height_schur_sum(n, k, method="formula"))
-        value = poly.coefficient(n) * math.factorial(n)
+        value = poly.get(n, Fraction(0)) * math.factorial(n)
         if value.denominator != 1:
             raise ArithmeticError("pair count came out non-integral")
         return int(value)
     if method != "closed":
         raise ValueError("method must be one of 'closed', 'det', 'brute'")
-    total = Fraction(0)
-    for s, term in _closed_form_terms(n, k):
-        total += term
+    total = sum((term for _, term in _closed_form_terms(n, k)), Fraction(0))
     if total.denominator != 1:
         raise ArithmeticError("pair count came out non-integral")
     return int(total)

@@ -4,7 +4,7 @@ Each operator is a linear map written as a sum of terms (multiply by a fixed
 symmetric function) o (skew by another).  The defining sums are infinite but
 a skew by anything of degree greater than deg(input) annihilates, so every
 application truncates the index partition to |lam| <= deg(input).  All
-arithmetic is exact.
+arithmetic is exact, and every such sum runs through one loop, _perp_sum.
 
 Row adders insert one part of size a into the indexing partition; column
 adders add a to each of its first k parts.  The action laws, in brief:
@@ -31,6 +31,11 @@ rm_row_one, rm_row and rf_row reject it (rm_rows still evaluates its
 defining sum there).  The column adders handle a = 0: cm/cf through their
 everything-operator reduction, which projects the basis expansion onto
 terms of length <= k, and cs directly.
+
+Three operators are the omega-images of three others and are computed that
+way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
+omega and rf_row = omega o rm_row o omega.  Their literal defining sums live
+in ``verify`` as oracles for that conjugation.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .partitions import (
     Partition,
@@ -50,7 +55,7 @@ from .partitions import (
     partitions_of,
     z_value,
 )
-from .ring import SymFunc, basis_element, en, expand, hn, omega, pn, skew
+from .ring import BasisExpansion, SymFunc, basis_element, en, expand, hn, omega, pn, skew
 
 
 def _indices(max_size: int, max_length: Optional[int] = None) -> Iterator[Partition]:
@@ -60,6 +65,18 @@ def _indices(max_size: int, max_length: Optional[int] = None) -> Iterator[Partit
 
 def _sign(lam: Partition) -> int:
     return -1 if sum(lam) % 2 else 1
+
+
+def _perp_sum(g: SymFunc, lams: Iterable, by: Callable, image: Callable) -> SymFunc:
+    """sum over lam in ``lams`` of image(lam) * by(lam)^perp g, building
+    image(lam) only where the skew is nonzero."""
+    if g.is_zero:  # rm_row's inner skews often vanish; skip the walk over lams
+        return g
+    return SymFunc.sum(
+        image(lam) * skewed
+        for lam in lams
+        if not (skewed := skew(by(lam), g)).is_zero
+    )
 
 
 def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
@@ -76,17 +93,16 @@ def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
         raise ValueError("a and k must be non-negative")
     if k == 0 or a == 0 or g.is_zero:
         return g
-    out = SymFunc.zero()
-    deg = g.degree()
-    for lam in _indices(deg, max_length=k):
-        skewed = skew(basis_element("p", lam), g)
-        if skewed.is_zero:
-            continue
+
+    def image(lam: Partition) -> SymFunc:
         coeff = pn(a) ** (k - len(lam))
         for part in lam:
             coeff = coeff * (pn(part + a) - pn(part) * pn(a))
-        out = out + coeff * skewed * Fraction(1, z_value(lam))
-    return out
+        return coeff * Fraction(1, z_value(lam))
+
+    return _perp_sum(
+        g, _indices(g.degree(), max_length=k), lambda lam: basis_element("p", lam), image
+    )
 
 
 def ch_column(k: int, g: SymFunc) -> SymFunc:
@@ -94,32 +110,20 @@ def ch_column(k: int, g: SymFunc) -> SymFunc:
     sum over l(lam) <= k of (-1)^{|lam|} e_{lam + 1^k} m_lam^perp."""
     if k < 1:
         raise ValueError("k must be positive")
-    out = SymFunc.zero()
-    for lam in _indices(g.degree(), max_length=k):
-        skewed = skew(basis_element("m", lam), g)
-        if skewed.is_zero:
-            continue
-        col = add_columns(lam, 1, k)
-        out = out + _sign(lam) * basis_element("e", col) * skewed
-    return out
+    return _perp_sum(
+        g,
+        _indices(g.degree(), max_length=k),
+        lambda lam: basis_element("m", lam),
+        lambda lam: _sign(lam) * basis_element("e", add_columns(lam, 1, k)),
+    )
 
 
 def ce_column(k: int, g: SymFunc) -> SymFunc:
     """Add a column 1^k to elementary indices:
-    sum over l(lam) <= k of (-1)^{|lam|} h_{lam + 1^k} f_lam^perp.
-
-    Equal to omega o ch_column(k) o omega as an operator.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    out = SymFunc.zero()
-    for lam in _indices(g.degree(), max_length=k):
-        skewed = skew(basis_element("f", lam), g)
-        if skewed.is_zero:
-            continue
-        col = add_columns(lam, 1, k)
-        out = out + _sign(lam) * basis_element("h", col) * skewed
-    return out
+    sum over l(lam) <= k of (-1)^{|lam|} h_{lam + 1^k} f_lam^perp,
+    which is omega o ch_column(k) o omega (the literal sum is an oracle in
+    ``verify``)."""
+    return omega(ch_column(k, omega(g)))
 
 
 def rm_row_one(a: int, g: SymFunc) -> SymFunc:
@@ -130,14 +134,12 @@ def rm_row_one(a: int, g: SymFunc) -> SymFunc:
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    out = SymFunc.zero()
-    for i in range(g.degree() + 1):
-        skewed = skew(en(i), g)
-        if skewed.is_zero:
-            continue
-        term = basis_element("m", Partition((a + i,))) * skewed
-        out = out + (term if i % 2 == 0 else -term)
-    return out
+    return _perp_sum(
+        g,
+        range(g.degree() + 1),
+        en,
+        lambda i: (-1) ** i * basis_element("m", Partition((a + i,))),
+    )
 
 
 def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
@@ -154,14 +156,12 @@ def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
         raise ValueError("a and k must be non-negative")
     if k == 0:
         return g
-    out = SymFunc.zero()
-    for lam in _indices(g.degree(), max_length=k):
-        skewed = skew(basis_element("e", lam), g)
-        if skewed.is_zero:
-            continue
-        col = add_columns(lam, a, k)
-        out = out + _sign(lam) * basis_element("m", col) * skewed
-    return out
+    return _perp_sum(
+        g,
+        _indices(g.degree(), max_length=k),
+        lambda lam: basis_element("e", lam),
+        lambda lam: _sign(lam) * basis_element("m", add_columns(lam, a, k)),
+    )
 
 
 def rm_row(a: int, g: SymFunc) -> SymFunc:
@@ -174,48 +174,29 @@ def rm_row(a: int, g: SymFunc) -> SymFunc:
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    out = SymFunc.zero()
     deg = g.degree()
-    k = 0
-    while a * k <= deg:
-        inner = skew(basis_element("h", Partition((a,) * k)), g)
-        if not inner.is_zero:
-            for lam in _indices(deg - a * k, max_length=k + 1):
-                skewed = skew(basis_element("e", lam), inner)
-                if skewed.is_zero:
-                    continue
-                col = add_columns(lam, a, k + 1)
-                term = basis_element("m", col) * skewed
-                out = out + (term if (sum(lam) + k) % 2 == 0 else -term)
-        k += 1
-    return out
+
+    def over_lam(k: int) -> SymFunc:
+        return _perp_sum(
+            skew(basis_element("h", Partition((a,) * k)), g),
+            _indices(deg - a * k, max_length=k + 1),
+            lambda lam: basis_element("e", lam),
+            lambda lam: (-1) ** k * _sign(lam) * basis_element("m", add_columns(lam, a, k + 1)),
+        )
+
+    return SymFunc.sum(over_lam(k) for k in range(deg // a + 1))
 
 
 def rf_row(a: int, g: SymFunc) -> SymFunc:
     """Forgotten row adder, for a >= 1:
 
         sum over k >= 0, l(lam) <= k + 1 of
-            (-1)^{|lam| + k} f_{lam + a^{k+1}} h_lam^perp (e_a^k)^perp.
+            (-1)^{|lam| + k} f_{lam + a^{k+1}} h_lam^perp (e_a^k)^perp,
 
-    Sends f_lam to f_{lam + (a)}; equals omega o rm_row(a) o omega.
+    which is omega o rm_row(a) o omega (the literal sum is an oracle in
+    ``verify``).  Sends f_lam to f_{lam + (a)}.
     """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    out = SymFunc.zero()
-    deg = g.degree()
-    k = 0
-    while a * k <= deg:
-        inner = skew(basis_element("e", Partition((a,) * k)), g)
-        if not inner.is_zero:
-            for lam in _indices(deg - a * k, max_length=k + 1):
-                skewed = skew(basis_element("h", lam), inner)
-                if skewed.is_zero:
-                    continue
-                col = add_columns(lam, a, k + 1)
-                term = basis_element("f", col) * skewed
-                out = out + (term if (sum(lam) + k) % 2 == 0 else -term)
-        k += 1
-    return out
+    return omega(rm_row(a, omega(g)))
 
 
 def cm_column(a: int, k: int, g: SymFunc) -> SymFunc:
@@ -232,22 +213,17 @@ def cm_column(a: int, k: int, g: SymFunc) -> SymFunc:
     if a < 0 or k < 1:
         raise ValueError("need a >= 0 and k >= 1")
     if a == 0:
-        kept = {
-            mu: c for mu, c in expand(g, "m").terms.items() if len(mu) <= k
-        }
-        out = SymFunc.zero()
-        for mu, c in kept.items():
-            out = out + c * basis_element("m", mu)
-        return out
-    out = SymFunc.zero()
-    for lam in _indices(g.degree()):
-        skewed = skew(basis_element("e", lam), g)
-        if skewed.is_zero:
-            continue
-        coeff = binomial(mult_count(lam, a) + k, k)
-        shape = insert_parts(lam, Partition((a,) * k))
-        out = out + _sign(lam) * coeff * basis_element("m", shape) * skewed
-    return out
+        kept = {mu: c for mu, c in expand(g, "m").terms.items() if len(mu) <= k}
+        return BasisExpansion("m", kept).to_symfunc()
+    column = Partition((a,) * k)
+    return _perp_sum(
+        g,
+        _indices(g.degree()),
+        lambda lam: basis_element("e", lam),
+        lambda lam: _sign(lam)
+        * binomial(mult_count(lam, a) + k, k)
+        * basis_element("m", insert_parts(lam, column)),
+    )
 
 
 def cf_column(a: int, k: int, g: SymFunc) -> SymFunc:
@@ -256,28 +232,11 @@ def cf_column(a: int, k: int, g: SymFunc) -> SymFunc:
         sum over lam of (-1)^{|lam|} C(n_a(lam) + k, k) f_{lam + (a^k)} h_lam^perp
 
     for a >= 1; a = 0 projects the forgotten expansion onto length <= k.
-    Sends f_lam to f_{lam + a^k} (0 for l(lam) > k); equals
-    omega o cm_column(a, k) o omega.
+    Sends f_lam to f_{lam + a^k} (0 for l(lam) > k).  Computed as
+    omega o cm_column(a, k) o omega (the literal sum is an oracle in
+    ``verify``).
     """
-    if a < 0 or k < 1:
-        raise ValueError("need a >= 0 and k >= 1")
-    if a == 0:
-        kept = {
-            mu: c for mu, c in expand(g, "f").terms.items() if len(mu) <= k
-        }
-        out = SymFunc.zero()
-        for mu, c in kept.items():
-            out = out + c * basis_element("f", mu)
-        return out
-    out = SymFunc.zero()
-    for lam in _indices(g.degree()):
-        skewed = skew(basis_element("h", lam), g)
-        if skewed.is_zero:
-            continue
-        coeff = binomial(mult_count(lam, a) + k, k)
-        shape = insert_parts(lam, Partition((a,) * k))
-        out = out + _sign(lam) * coeff * basis_element("f", shape) * skewed
-    return out
+    return omega(cm_column(a, k, omega(g)))
 
 
 def rs_row(a: int, g: SymFunc) -> SymFunc:
@@ -289,16 +248,9 @@ def rs_row(a: int, g: SymFunc) -> SymFunc:
     ``straighten((a,) + lam)``.  The sum makes sense for any integer a
     (h of negative index is 0); the action law is stated for a >= 0.
     """
-    out = SymFunc.zero()
-    for i in range(g.degree() + 1):
-        if a + i < 0:
-            continue
-        skewed = skew(en(i), g)
-        if skewed.is_zero:
-            continue
-        term = hn(a + i) * skewed
-        out = out + (term if i % 2 == 0 else -term)
-    return out
+    return _perp_sum(
+        g, range(max(0, -a), g.degree() + 1), en, lambda i: (-1) ** i * hn(a + i)
+    )
 
 
 def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
@@ -308,14 +260,12 @@ def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
         raise ValueError("a and k must be non-negative")
     if k == 0:
         return g
-    out = SymFunc.zero()
-    for lam in _indices(g.degree(), max_length=k):
-        skewed = skew(basis_element("s", conjugate(lam)), g)
-        if skewed.is_zero:
-            continue
-        col = add_columns(lam, a, k)
-        out = out + _sign(lam) * basis_element("s", col) * skewed
-    return out
+    return _perp_sum(
+        g,
+        _indices(g.degree(), max_length=k),
+        lambda lam: basis_element("s", conjugate(lam)),
+        lambda lam: _sign(lam) * basis_element("s", add_columns(lam, a, k)),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -334,16 +284,12 @@ def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
     """
     if a < 0 or k < 0:
         raise ValueError("a and k must be non-negative")
-    out = SymFunc.zero()
-    for lam in _indices(g.degree()):
-        skewed = skew(basis_element("s", conjugate(lam)), g)
-        if skewed.is_zero:
-            continue
-        image = _rs_rows_on_schur(a, k, lam)
-        if image.is_zero:
-            continue
-        out = out + _sign(lam) * image * skewed
-    return out
+    return _perp_sum(
+        g,
+        _indices(g.degree()),
+        lambda lam: basis_element("s", conjugate(lam)),
+        lambda lam: _sign(lam) * _rs_rows_on_schur(a, k, lam),
+    )
 
 
 def t_minus_x(g: SymFunc) -> SymFunc:
@@ -355,7 +301,16 @@ def t_minus_x(g: SymFunc) -> SymFunc:
     return g.homogeneous_part(0)
 
 
-_TX_PAIRS = ("ss", "hm", "ef", "pz")
+# dual pair -> (omega(a_lam), b_lam) of the constant-term operator sum
+_TX_PAIRS: dict[str, tuple[Callable[[Partition], SymFunc], Callable[[Partition], SymFunc]]] = {
+    "ss": (lambda lam: basis_element("s", lam), lambda lam: basis_element("s", conjugate(lam))),
+    "hm": (lambda lam: basis_element("e", lam), lambda lam: basis_element("m", lam)),
+    "ef": (lambda lam: basis_element("h", lam), lambda lam: basis_element("f", lam)),
+    "pz": (
+        lambda lam: omega(basis_element("p", lam)) * Fraction(1, z_value(lam)),
+        lambda lam: basis_element("p", lam),
+    ),
+}
 
 
 def t_minus_x_sum(g: SymFunc, pair: str = "ss") -> SymFunc:
@@ -363,23 +318,9 @@ def t_minus_x_sum(g: SymFunc, pair: str = "ss") -> SymFunc:
     sum over lam of (-1)^{|lam|} omega(a_lam) b_lam^perp
     for a chosen dual pair (a, b): "ss", "hm", "ef" or "pz"."""
     if pair not in _TX_PAIRS:
-        raise ValueError(f"pair must be one of {_TX_PAIRS}")
-    out = SymFunc.zero()
-    for lam in _indices(g.degree()):
-        if pair == "ss":
-            mult, skew_by = basis_element("s", lam), basis_element("s", conjugate(lam))
-        elif pair == "hm":
-            mult, skew_by = basis_element("e", lam), basis_element("m", lam)
-        elif pair == "ef":
-            mult, skew_by = basis_element("h", lam), basis_element("f", lam)
-        else:
-            mult = omega(basis_element("p", lam)) * Fraction(1, z_value(lam))
-            skew_by = basis_element("p", lam)
-        skewed = skew(skew_by, g)
-        if skewed.is_zero:
-            continue
-        out = out + _sign(lam) * mult * skewed
-    return out
+        raise ValueError(f"pair must be one of {tuple(_TX_PAIRS)}")
+    mult, by = _TX_PAIRS[pair]
+    return _perp_sum(g, _indices(g.degree()), by, lambda lam: _sign(lam) * mult(lam))
 
 
 AssignmentLike = Union[Mapping[Partition, SymFunc], Callable[[Partition], SymFunc]]
@@ -389,42 +330,36 @@ def everything_op(b: str, assignment: AssignmentLike, g: SymFunc) -> SymFunc:
     """The operator sending the basis element b_mu to assignment(mu), applied
     linearly to ``g``.  Raises LookupError naming any partition present in
     the expansion of ``g`` for which the assignment is undefined."""
-    expansion = expand(g, b)
-    out = SymFunc.zero()
-    for mu, c in expansion.terms.items():
-        if callable(assignment):
-            image = assignment(mu)
-        else:
-            try:
-                image = assignment[mu]
-            except KeyError:
-                image = None
+    lookup = assignment if callable(assignment) else assignment.get
+    terms = []
+    for mu, c in expand(g, b).terms.items():
+        image = lookup(mu)
         if image is None:
             raise LookupError(f"assignment undefined for partition {mu}")
-        out = out + c * image
-    return out
+        terms.append(c * image)
+    return SymFunc.sum(terms)
 
 
 # ---------------------------------------------------------------------------
 # Named dispatch for the CLI.
 # ---------------------------------------------------------------------------
 
-# name -> (takes a, takes k)
-OPERATOR_PARAMS: dict[str, tuple[bool, bool]] = {
-    "CP": (True, True),
-    "CH": (False, True),
-    "CE": (False, True),
-    "RM1": (True, False),
-    "RMK": (True, True),
-    "RM": (True, False),
-    "RF": (True, False),
-    "CM": (True, True),
-    "CF": (True, True),
-    "RS": (True, False),
-    "RSK": (True, True),
-    "CS": (True, True),
-    "TX": (False, False),
-    "EVERY": (False, False),
+# name -> (function, takes a, takes k); the function takes (a, k, g) minus
+# the parameters it does not take.  The order is the CLI's --op order.
+OPERATORS: dict[str, tuple[Callable[..., SymFunc], bool, bool]] = {
+    "CP": (cp_column, True, True),
+    "CH": (ch_column, False, True),
+    "CE": (ce_column, False, True),
+    "RM1": (rm_row_one, True, False),
+    "RMK": (rm_rows, True, True),
+    "RM": (rm_row, True, False),
+    "RF": (rf_row, True, False),
+    "CM": (cm_column, True, True),
+    "CF": (cf_column, True, True),
+    "RS": (rs_row, True, False),
+    "RSK": (rs_rows, True, True),
+    "CS": (cs_column, True, True),
+    "TX": (t_minus_x, False, False),
 }
 
 
@@ -437,9 +372,9 @@ class OperatorSpec:
     k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.name not in OPERATOR_PARAMS:
+        if self.name not in OPERATORS:
             raise ValueError(f"unknown operator {self.name!r}")
-        takes_a, takes_k = OPERATOR_PARAMS[self.name]
+        _, takes_a, takes_k = OPERATORS[self.name]
         if takes_a and self.a is None:
             raise ValueError(f"operator {self.name} requires --a")
         if not takes_a and self.a is not None:
@@ -452,39 +387,8 @@ class OperatorSpec:
             raise ValueError("operator parameters must be non-negative")
 
 
-def apply_operator(
-    spec: OperatorSpec, g: SymFunc, assignment: Optional[AssignmentLike] = None
-) -> SymFunc:
+def apply_operator(spec: OperatorSpec, g: SymFunc) -> SymFunc:
     """Apply the operator named by ``spec`` to ``g``."""
-    name, a, k = spec.name, spec.a, spec.k
-    if name == "CP":
-        return cp_column(a, k, g)
-    if name == "CH":
-        return ch_column(k, g)
-    if name == "CE":
-        return ce_column(k, g)
-    if name == "RM1":
-        return rm_row_one(a, g)
-    if name == "RMK":
-        return rm_rows(a, k, g)
-    if name == "RM":
-        return rm_row(a, g)
-    if name == "RF":
-        return rf_row(a, g)
-    if name == "CM":
-        return cm_column(a, k, g)
-    if name == "CF":
-        return cf_column(a, k, g)
-    if name == "RS":
-        return rs_row(a, g)
-    if name == "RSK":
-        return rs_rows(a, k, g)
-    if name == "CS":
-        return cs_column(a, k, g)
-    if name == "TX":
-        return t_minus_x(g)
-    if name == "EVERY":
-        if assignment is None:
-            raise ValueError("EVERY requires an assignment")
-        return everything_op("p", assignment, g)
-    raise AssertionError(name)
+    fn, takes_a, takes_k = OPERATORS[spec.name]
+    params = [x for x, taken in ((spec.a, takes_a), (spec.k, takes_k)) if taken]
+    return fn(*params, g)

@@ -2,35 +2,18 @@
 
 One test per criterion; each prints a single pass/fail line (written through
 to the real stdout so it is visible without -s).  The criteria and their
-bounds live in symfunc.verify.ACCEPTANCE; scripts/acceptance.py runs the
-same table outside pytest.
+bounds live in symfunc.verify.ACCEPTANCE, and symfunc.verify.run_criterion
+runs one; scripts/acceptance.py runs the same table outside pytest.
 """
-
-import sys
-import time
 
 import pytest
 
-from symfunc.verify import ACCEPTANCE, run_checks
-
-_BY_NUMBER = {num: (desc, checks, bounds) for num, desc, checks, bounds in ACCEPTANCE}
+from symfunc.verify import ACCEPTANCE, run_criterion
 
 
-def _run_criterion(num: int) -> None:
-    desc, checks, bounds = _BY_NUMBER[num]
-    start = time.time()
-    results, ok = run_checks(checks, bounds)
-    elapsed = time.time() - start
-    line = (
-        f"criterion {num} [{'PASS' if ok else 'FAIL'}] {desc} "
-        f"({sum(c for _, c, _ in results)} cases, {elapsed:.1f}s)"
-    )
-    print(line, flush=True)
-    failures = [msg for _, _, msgs in results for msg in msgs]
-    assert ok, f"criterion {num} failed:\n" + "\n".join(failures[:20])
-
-
-@pytest.mark.parametrize("num", sorted(_BY_NUMBER))
+@pytest.mark.parametrize("num", sorted(num for num, *_ in ACCEPTANCE))
 def test_criterion(num, capsys):
+    line, ok, failures = run_criterion(num)
     with capsys.disabled():
-        _run_criterion(num)
+        print(line, flush=True)
+    assert ok, f"criterion {num} failed:\n" + "\n".join(failures[:20])

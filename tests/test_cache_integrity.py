@@ -9,7 +9,7 @@ from symfunc import ring
 from symfunc.partitions import partitions_of
 from symfunc.ring import BASES, basis_element, expand, inner_product, omega, skew
 from symfunc.tableaux import bounded_height_pairs
-from symfunc.vertex import OPERATOR_PARAMS, OperatorSpec, apply_operator
+from symfunc.vertex import OPERATORS, OperatorSpec, apply_operator
 
 DEGREE = 8
 
@@ -48,9 +48,7 @@ def _sweep():
                 skew(g, f)
                 skew(f, f * g)
                 inner_product(f, g)
-    for name, (takes_a, takes_k) in OPERATOR_PARAMS.items():
-        if name == "EVERY":
-            continue
+    for name, (_, takes_a, takes_k) in OPERATORS.items():
         spec = OperatorSpec(name, 2 if takes_a else None, 2 if takes_k else None)
         for lam in shapes:
             if sum(lam) <= 3:

@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from symfunc.cli import main
+from symfunc.vertex import OPERATORS
 
 
 def run_cli(capsys, *argv):
@@ -113,7 +116,7 @@ def test_json_byte_stability(capsys):
     assert runs[0] == runs[1]
 
 
-def test_installed_entry_point_runs():
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "symfunc.cli", "count", "--n", "3", "--k", "2"],
         capture_output=True,
@@ -121,6 +124,35 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
+
+
+def test_console_script_entry_runs():
+    # Read [project.scripts] with a regex (no tomllib on Python 3.10) and run
+    # the named function the way the installed console wrapper does.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert section, "pyproject.toml has no [project.scripts] table"
+    entry = re.search(r'^symfunc\s*=\s*"([\w.]+):(\w+)"\s*$', section.group(1), re.M)
+    assert entry, "no symfunc console script"
+    module, func = entry.groups()
+    wrapper = (
+        f"import sys; from {module} import {func}; "
+        f"sys.argv[0] = 'symfunc'; sys.exit({func}())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, "count", "--n", "3", "--k", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5\n"
+
+
+def test_apply_op_choices_are_the_registry(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "--help"])
+    assert exc.value.code == 0
+    assert "--op {" + ",".join(OPERATORS) + "}" in capsys.readouterr().out
 
 
 def test_usage_error_exit_code():
