@@ -13,6 +13,7 @@ from .partitions import (
     insert_parts,
     mult_count,
     partitions_of,
+    partitions_upto,
     remove_parts,
     straighten,
     z_value,
@@ -20,7 +21,6 @@ from .partitions import (
 from .ring import (
     BASES,
     BasisExpansion,
-    Scalar,
     SymFunc,
     basis_element,
     en,
@@ -28,7 +28,6 @@ from .ring import (
     hn,
     inner_product,
     jacobi_trudi,
-    multiply,
     omega,
     pn,
     r_coefficient,

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 from .expressions import parse_expression
 from .ring import BASES, expand, inner_product
-from .tableaux import ONE_ROW_METHODS, _closed_form_terms, bounded_height_pairs
+from .tableaux import PAIR_METHODS, bounded_height_pairs, closed_form_terms
 from .vertex import OPERATORS, OperatorSpec, apply_operator
-from .verify import DEFAULT_SUITES, SUITES, Bounds, run_suites
+from .verify import SUITES, Bounds, run_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--k", type=int, required=True)
-    p_count.add_argument("--method", choices=ONE_ROW_METHODS, default="closed")
+    p_count.add_argument("--method", choices=PAIR_METHODS, default="closed")
     p_count.add_argument(
         "--verbose", action="store_true", help="also print per-composition terms as JSON"
     )
@@ -113,7 +113,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.verbose:
                 terms = [
                     {"composition": list(s), "term": str(value)}
-                    for s, value in _closed_form_terms(args.n, args.k)
+                    for s, value in closed_form_terms(args.n, args.k)
                 ]
                 print(json.dumps(terms, indent=2))
             return 0
@@ -125,7 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.oracle:
                 # the full conclusive sweep: degree 6 in six variables
                 bounds = replace(bounds, oracle_degree=6, oracle_vars=6)
-            names = args.suite if args.suite else list(DEFAULT_SUITES)
+            names = args.suite if args.suite else list(SUITES)
             ok = run_suites(names, bounds, sys.stdout)
             return 0 if ok else 1
 

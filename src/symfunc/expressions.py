@@ -10,6 +10,7 @@ tokens is ignored.  Printing is the inverse, via BasisExpansion.to_text().
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .partitions import Partition
 from .ring import BASES, SymFunc, basis_element
@@ -109,23 +110,19 @@ class _Parser:
         return out
 
     def expression(self) -> SymFunc:
-        negative = False
-        if self.peek() == "-":
-            self.i += 1
-            negative = True
-        elif self.peek() == "+":
-            self.i += 1
-        out = -self.term() if negative else self.term()
+        return SymFunc.sum(self.signed_terms())
+
+    def signed_terms(self) -> Iterator[SymFunc]:
+        first = True
         while True:
             ch = self.peek()
-            if ch == "+":
+            if ch in ("+", "-"):  # the first term's sign is optional
                 self.i += 1
-                out = out + self.term()
-            elif ch == "-":
-                self.i += 1
-                out = out - self.term()
-            else:
-                return out
+            elif not first:
+                return
+            first = False
+            term = self.term()
+            yield -term if ch == "-" else term
 
 
 def parse_expression(src: str) -> SymFunc:

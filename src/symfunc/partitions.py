@@ -183,6 +183,13 @@ def partitions_of(
     return rec(n, cap, room, [])
 
 
+def partitions_upto(n: int, max_length: Optional[int] = None) -> Iterator[Partition]:
+    """All partitions of size at most ``n``, by increasing size, each size in
+    the order of ``partitions_of``."""
+    for d in range(n + 1):
+        yield from partitions_of(d, max_length=max_length)
+
+
 def compositions_of(n: int, k: int) -> Iterator[Composition]:
     """All length-``k`` sequences of non-negative integers summing to ``n``.
 

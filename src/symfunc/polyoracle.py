@@ -56,16 +56,6 @@ class MultiPoly:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), Fraction(0))
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            v = out.get(mono, 0) + c
-            if v:
-                out[mono] = v
-            else:
-                del out[mono]
-        return self._raw(self.nvars, out)
-
     def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
         out: dict[Monomial, Fraction] = {}
         if isinstance(other, MultiPoly):
@@ -139,17 +129,9 @@ def _elementary(n: int, v: int) -> MultiPoly:
 
 
 def _homogeneous(n: int, v: int) -> MultiPoly:
-    if n == 0:
-        return MultiPoly.one(v)
-    terms: dict[Monomial, Fraction] = {}
-    for multiset in combinations_with_replacement(range(v), n):
-        mono = [0] * v
-        for i in multiset:
-            mono[i] += 1
-        key = tuple(mono)
-        terms[key] = terms.get(key, Fraction(0)) + 1
-    # each multiset occurs exactly once, so all coefficients are 1
-    return MultiPoly(v, {k: Fraction(1) for k in terms})
+    # one monomial per multiset of n variables, each with coefficient 1
+    multisets = combinations_with_replacement(range(v), n)
+    return MultiPoly(v, {tuple(ms.count(i) for i in range(v)): 1 for ms in multisets})
 
 
 def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -254,10 +236,11 @@ def realize(b: str, lam: Partition, v: int) -> MultiPoly:
 def realize_symfunc(g: SymFunc, v: int) -> MultiPoly:
     """Realize through power-sum coordinates: each p_lam becomes a product
     of power sums in ``v`` variables."""
-    out = MultiPoly.zero(v)
+    out: dict[Monomial, Fraction] = {}
     for lam, c in g.items():
-        out = out + _realize_p(lam, v) * c
-    return out
+        for mono, x in _realize_p(lam, v).items():
+            out[mono] = out.get(mono, 0) + x * c
+    return MultiPoly(v, out)
 
 
 def first_mismatch(

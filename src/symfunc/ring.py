@@ -37,7 +37,6 @@ from .partitions import (
     z_value,
 )
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int]
 
 BASES = ("p", "m", "e", "h", "s", "f")
@@ -432,10 +431,6 @@ def _basis_p(b: str, lam: Partition) -> _PDict:
 def basis_element(b: str, lam: Iterable[int]) -> SymFunc:
     """The basis element b_lam as a SymFunc (power-sum coordinates)."""
     return SymFunc._raw(_basis_p(b, Partition(lam)))
-
-
-def multiply(g1: SymFunc, g2: SymFunc) -> SymFunc:
-    return g1 * g2
 
 
 def inner_product(g1: SymFunc, g2: SymFunc) -> Fraction:

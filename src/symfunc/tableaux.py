@@ -33,7 +33,7 @@ from .partitions import (
 from .ring import SymFunc, hn, jacobi_trudi
 from .vertex import cs_column
 
-ONE_ROW_METHODS = ("closed", "det", "brute")
+PAIR_METHODS = ("closed", "det", "brute")
 
 
 def syt_count(lam: Partition) -> int:
@@ -149,13 +149,13 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
         return int(value)
     if method != "closed":
         raise ValueError("method must be one of 'closed', 'det', 'brute'")
-    total = sum((term for _, term in _closed_form_terms(n, k)), Fraction(0))
+    total = sum((term for _, term in closed_form_terms(n, k)), Fraction(0))
     if total.denominator != 1:
         raise ArithmeticError("pair count came out non-integral")
     return int(total)
 
 
-def _closed_form_terms(n: int, k: int) -> Iterator[tuple[Composition, Fraction]]:
+def closed_form_terms(n: int, k: int) -> Iterator[tuple[Composition, Fraction]]:
     """Per-composition contributions of the closed-form pair count."""
     nfact = math.factorial(n)
     for s in compositions_of(n, k):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, TextIO
@@ -31,6 +31,7 @@ from .partitions import (
     insert_parts,
     mult_count,
     partitions_of,
+    partitions_upto,
     remove_parts,
     straighten,
     z_value,
@@ -89,18 +90,9 @@ class Bounds:
 Check = tuple[str, int, list[str]]  # (name, cases run, failure messages)
 
 
-def _parts_upto(n: int, max_length: int | None = None) -> Iterator[Partition]:
-    for d in range(n + 1):
-        yield from partitions_of(d, max_length=max_length)
-
-
 def _basis_upto(b: str, n: int) -> Iterator[tuple[Partition, SymFunc]]:
-    for lam in _parts_upto(n):
+    for lam in partitions_upto(n):
         yield lam, basis_element(b, lam)
-
-
-def _check(name: str, failures: list[str], cases: int) -> Check:
-    return (name, cases, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +102,16 @@ def _check(name: str, failures: list[str], cases: int) -> Check:
 
 def check_conjugate_involution(b: Bounds) -> Check:
     bad, cases = [], 0
-    for lam in _parts_upto(max(b.degree, 12)):
+    for lam in partitions_upto(max(b.degree, 12)):
         cases += 1
         if conjugate(conjugate(lam)) != lam:
             bad.append(f"conjugate not an involution at {lam}")
-    return _check("partitions: conjugate involution", bad, cases)
+    return "partitions: conjugate involution", cases, bad
 
 
 def check_add_columns_size(b: Bounds) -> Check:
     bad, cases = [], 0
-    for lam in _parts_upto(b.degree):
+    for lam in partitions_upto(b.degree):
         for a in range(b.a_max + 1):
             for k in range(b.k_max + 1):
                 cases += 1
@@ -129,25 +121,25 @@ def check_add_columns_size(b: Bounds) -> Check:
                         bad.append(f"add_columns({lam},{a},{k}) unexpectedly undefined")
                 elif sum(col) != sum(lam) + a * k:
                     bad.append(f"|{lam} + {a}^{k}| wrong")
-    return _check("partitions: add_columns size law", bad, cases)
+    return "partitions: add_columns size law", cases, bad
 
 
 def check_insert_remove_roundtrip(b: Bounds) -> Check:
     bad, cases = [], 0
     n = min(b.degree, 8)
-    for lam in _parts_upto(n):
-        for mu in _parts_upto(n):
+    for lam in partitions_upto(n):
+        for mu in partitions_upto(n):
             cases += 1
             if remove_parts(insert_parts(lam, mu), mu) != lam:
                 bad.append(f"insert/remove roundtrip failed at {lam}, {mu}")
-    return _check("partitions: insert/remove roundtrip", bad, cases)
+    return "partitions: insert/remove roundtrip", cases, bad
 
 
 def check_straighten_permutations(b: Bounds) -> Check:
     from itertools import permutations
 
     bad, cases = [], 0
-    for lam in _parts_upto(min(b.degree, 6), max_length=4):
+    for lam in partitions_upto(min(b.degree, 6), max_length=4):
         shifted = [lam[j] - (j + 1) for j in range(len(lam))]
         for perm in permutations(range(len(lam))):
             cases += 1
@@ -161,7 +153,7 @@ def check_straighten_permutations(b: Bounds) -> Check:
             res = straighten(seq)
             if res.is_zero or res.shape != lam or res.sign != (-1) ** inv:
                 bad.append(f"straighten({seq}) != {(-1)**inv} * {lam}")
-    return _check("partitions: straighten of permuted index sequences", bad, cases)
+    return "partitions: straighten of permuted index sequences", cases, bad
 
 
 def check_partition_counts(b: Bounds) -> Check:
@@ -171,7 +163,7 @@ def check_partition_counts(b: Bounds) -> Check:
         got = sum(1 for _ in partitions_of(n))
         if got != count_partitions(n):
             bad.append(f"p({n}) = {got}, pentagonal recurrence says {count_partitions(n)}")
-    return _check("partitions: enumeration count vs recurrence", bad, cases)
+    return "partitions: enumeration count vs recurrence", cases, bad
 
 
 def check_composition_counts(b: Bounds) -> Check:
@@ -183,7 +175,7 @@ def check_composition_counts(b: Bounds) -> Check:
             seen = set(compositions_of(n, k))
             if got != comb(n + k - 1, k - 1) or len(seen) != got:
                 bad.append(f"compositions_of({n},{k}) count wrong")
-    return _check("partitions: composition count (stars and bars)", bad, cases)
+    return "partitions: composition count (stars and bars)", cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +187,7 @@ _DUAL_PAIRS = (("m", "h"), ("f", "e"), ("s", "s"))
 
 def check_dual_pairings(b: Bounds) -> Check:
     bad, cases = [], 0
-    shapes = list(_parts_upto(b.degree))
+    shapes = list(partitions_upto(b.degree))
     for lam in shapes:
         for mu in shapes:
             delta = Fraction(1 if lam == mu else 0)
@@ -210,7 +202,7 @@ def check_dual_pairings(b: Bounds) -> Check:
             )
             if got != delta:
                 bad.append(f"<p_{lam}, p_{mu}/z> = {got}")
-    return _check("ring: dual-basis pairing tables", bad, cases)
+    return "ring: dual-basis pairing tables", cases, bad
 
 
 def check_omega(b: Bounds) -> Check:
@@ -220,7 +212,7 @@ def check_omega(b: Bounds) -> Check:
             cases += 1
             if omega(omega(g)) != g:
                 bad.append(f"omega^2 != id on {base}_{lam}")
-    for lam in _parts_upto(b.degree):
+    for lam in partitions_upto(b.degree):
         cases += 3
         if omega(basis_element("h", lam)) != basis_element("e", lam):
             bad.append(f"omega h_{lam} != e_{lam}")
@@ -228,7 +220,7 @@ def check_omega(b: Bounds) -> Check:
             bad.append(f"omega m_{lam} != f_{lam}")
         if omega(basis_element("s", lam)) != basis_element("s", conjugate(lam)):
             bad.append(f"omega s_{lam} != s_{conjugate(lam)}")
-    return _check("ring: omega involution and basis swaps", bad, cases)
+    return "ring: omega involution and basis swaps", cases, bad
 
 
 def check_expand_roundtrip(b: Bounds) -> Check:
@@ -239,7 +231,7 @@ def check_expand_roundtrip(b: Bounds) -> Check:
                 cases += 1
                 if expand(g, dst).to_symfunc() != g:
                     bad.append(f"expand roundtrip {src}_{lam} via {dst}")
-    return _check("ring: expansion/rebuild roundtrip", bad, cases)
+    return "ring: expansion/rebuild roundtrip", cases, bad
 
 
 def check_jacobi_trudi(b: Bounds) -> Check:
@@ -249,25 +241,21 @@ def check_jacobi_trudi(b: Bounds) -> Check:
         def minor(rows: list[int], cols: list[int]) -> SymFunc:
             if not cols:
                 return SymFunc.one()
-            out = SymFunc.zero()
             i = rows[0]
-            for t, j in enumerate(cols):
-                idx = lam[j] - (j + 1) + i
-                if idx < 0:
-                    continue
-                sub = minor(rows[1:], cols[:t] + cols[t + 1 :])
-                term = hn(idx) * sub
-                out = out + (term if t % 2 == 0 else -term)
-            return out
+            return SymFunc.sum(
+                (-1) ** t * hn(idx) * minor(rows[1:], cols[:t] + cols[t + 1 :])
+                for t, j in enumerate(cols)
+                if (idx := lam[j] - (j + 1) + i) >= 0
+            )
 
         return minor(list(range(1, size + 1)), list(range(size)))
 
     bad, cases = [], 0
-    for lam in _parts_upto(min(b.degree, 8)):
+    for lam in partitions_upto(min(b.degree, 8)):
         cases += 1
         if basis_element("s", lam) != naive_det(lam):
             bad.append(f"Jacobi-Trudi mismatch at {lam}")
-    return _check("ring: Schur = naive h-determinant", bad, cases)
+    return "ring: Schur = naive h-determinant", cases, bad
 
 
 def check_alternating_eh(b: Bounds) -> Check:
@@ -277,7 +265,7 @@ def check_alternating_eh(b: Bounds) -> Check:
         total = SymFunc.sum((-1) ** r * en(r) * hn(n - r) for r in range(n + 1))
         if not total.is_zero:
             bad.append(f"sum_r (-1)^r e_r h_(n-r) != 0 at n={n}")
-    return _check("ring: alternating e/h convolution vanishes", bad, cases)
+    return "ring: alternating e/h convolution vanishes", cases, bad
 
 
 def check_e_to_h(b: Bounds) -> Check:
@@ -287,7 +275,7 @@ def check_e_to_h(b: Bounds) -> Check:
         total = SymFunc.sum(r_coefficient(mu) * basis_element("h", mu) for mu in partitions_of(n))
         if total != en(n):
             bad.append(f"e_{n} != sum r_mu h_mu")
-    return _check("ring: e_n as signed multinomial h-combination", bad, cases)
+    return "ring: e_n as signed multinomial h-combination", cases, bad
 
 
 def check_alternating_r_sum(b: Bounds) -> Check:
@@ -302,7 +290,7 @@ def check_alternating_r_sum(b: Bounds) -> Check:
                     total += (-1) ** j * r_coefficient(reduced)
             if total != 0:
                 bad.append(f"alternating r-sum != 0 at {mu}")
-    return _check("ring: alternating r-coefficient sum vanishes", bad, cases)
+    return "ring: alternating r-coefficient sum vanishes", cases, bad
 
 
 def check_skew_adjointness(b: Bounds) -> Check:
@@ -320,7 +308,7 @@ def check_skew_adjointness(b: Bounds) -> Check:
                         cases += 1
                         if inner_product(skew(g, p), q) != inner_product(p, gq):
                             bad.append(f"adjointness fails at g={glam} P={plam} Q={qlam}")
-    return _check("ring: skew adjointness on power-sum triples", bad, cases)
+    return "ring: skew adjointness on power-sum triples", cases, bad
 
 
 def check_coproduct_rules(b: Bounds) -> Check:
@@ -335,11 +323,10 @@ def check_coproduct_rules(b: Bounds) -> Check:
                     prod = p1 * p2
                     for k in range(1, d1 + d2 + 1):
                         cases += 3
-                        want_h = SymFunc.zero()
-                        want_e = SymFunc.zero()
-                        for i in range(k + 1):
-                            want_h = want_h + skew(hn(i), p1) * skew(hn(k - i), p2)
-                            want_e = want_e + skew(en(i), p1) * skew(en(k - i), p2)
+                        want_h, want_e = (
+                            SymFunc.sum(skew(x(i), p1) * skew(x(k - i), p2) for i in range(k + 1))
+                            for x in (hn, en)
+                        )
                         if skew(hn(k), prod) != want_h:
                             bad.append(f"h_{k} coproduct rule fails at {lam1},{lam2}")
                         if skew(en(k), prod) != want_e:
@@ -347,7 +334,7 @@ def check_coproduct_rules(b: Bounds) -> Check:
                         want_p = skew(pn(k), p1) * p2 + p1 * skew(pn(k), p2)
                         if skew(pn(k), prod) != want_p:
                             bad.append(f"p_{k} derivation rule fails at {lam1},{lam2}")
-    return _check("ring: coproduct product rules for h/e/p skews", bad, cases)
+    return "ring: coproduct product rules for h/e/p skews", cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +342,14 @@ def check_coproduct_rules(b: Bounds) -> Check:
 # ---------------------------------------------------------------------------
 
 
-def check_h_skew_commutation(b: Bounds) -> Check:
+def _check_skew_past_monomial(
+    b: Bounds, x: str, shed: Callable[[int], Iterable[tuple[Partition, int]]]
+) -> Check:
+    """x_k^perp (m_lam P) = sum over (mu, c) in shed(k) of
+    c m_{lam - mu} x_{k - |mu|}^perp P, for x = h or e."""
     bad, cases = [], 0
     n = b.identity_degree
+    x_n = {"h": hn, "e": en}[x]
     for dl in range(n + 1):
         for lam in partitions_of(dl):
             mlam = basis_element("m", lam)
@@ -366,44 +358,28 @@ def check_h_skew_commutation(b: Bounds) -> Check:
                     target = basis_element("p", plam)
                     for k in range(1, n + 1):
                         cases += 1
-                        lhs = skew(hn(k), mlam * target)
-                        rhs = SymFunc.zero()
-                        for i in range(k + 1):
-                            reduced = lam if i == 0 else remove_parts(lam, Partition((i,)))
-                            if reduced is None:
-                                continue
-                            rhs = rhs + basis_element("m", reduced) * skew(hn(k - i), target)
-                        if lhs != rhs:
-                            bad.append(f"h_{k} skew-commutation fails at {lam},{plam}")
-    return _check("lemmas: h-skew past a monomial factor", bad, cases)
+                        rhs = SymFunc.sum(
+                            c * basis_element("m", reduced) * skew(x_n(k - sum(mu)), target)
+                            for mu, c in shed(k)
+                            if (reduced := remove_parts(lam, mu)) is not None
+                        )
+                        if skew(x_n(k), mlam * target) != rhs:
+                            bad.append(f"{x}_{k} skew-commutation fails at {lam},{plam}")
+    return f"lemmas: {x}-skew past a monomial factor", cases, bad
+
+
+def check_h_skew_commutation(b: Bounds) -> Check:
+    """h_k^perp sheds at most one part of m_lam, of any size i <= k."""
+    return _check_skew_past_monomial(
+        b, "h", lambda k: ((Partition((i,) if i else ()), 1) for i in range(k + 1))
+    )
 
 
 def check_e_skew_commutation(b: Bounds) -> Check:
-    bad, cases = [], 0
-    n = b.identity_degree
-    for dl in range(n + 1):
-        for lam in partitions_of(dl):
-            mlam = basis_element("m", lam)
-            for dp in range(n - dl + 1):
-                for plam in partitions_of(dp):
-                    target = basis_element("p", plam)
-                    for k in range(1, n + 1):
-                        cases += 1
-                        lhs = skew(en(k), mlam * target)
-                        rhs = SymFunc.zero()
-                        for i in range(k + 1):
-                            for mu in partitions_of(i):
-                                reduced = remove_parts(lam, mu)
-                                if reduced is None:
-                                    continue
-                                rhs = rhs + (
-                                    r_coefficient(mu)
-                                    * basis_element("m", reduced)
-                                    * skew(en(k - i), target)
-                                )
-                        if lhs != rhs:
-                            bad.append(f"e_{k} skew-commutation fails at {lam},{plam}")
-    return _check("lemmas: e-skew past a monomial factor", bad, cases)
+    """e_k^perp sheds any mu with |mu| <= k, with coefficient r_mu."""
+    return _check_skew_past_monomial(
+        b, "e", lambda k: ((mu, r_coefficient(mu)) for mu in partitions_upto(k))
+    )
 
 
 def check_monomial_product_rule(b: Bounds) -> Check:
@@ -413,16 +389,15 @@ def check_monomial_product_rule(b: Bounds) -> Check:
             for lam in partitions_of(n):
                 cases += 1
                 lhs = basis_element("m", Partition((k,))) * basis_element("m", lam)
-                rhs = SymFunc.zero()
-                for i in range(n + 1):
-                    reduced = lam if i == 0 else remove_parts(lam, Partition((i,)))
-                    if reduced is None:
-                        continue
-                    shape = insert_parts(reduced, Partition((k + i,)))
-                    rhs = rhs + (1 + mult_count(lam, k + i)) * basis_element("m", shape)
+                rhs = SymFunc.sum(
+                    (1 + mult_count(lam, k + i))
+                    * basis_element("m", insert_parts(reduced, Partition((k + i,))))
+                    for i in range(n + 1)
+                    if (reduced := remove_parts(lam, Partition((i,) if i else ()))) is not None
+                )
                 if lhs != rhs:
                     bad.append(f"m_({k}) * m_{lam} product rule fails")
-    return _check("lemmas: one-part monomial product rule", bad, cases)
+    return "lemmas: one-part monomial product rule", cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +407,7 @@ def check_monomial_product_rule(b: Bounds) -> Check:
 
 def check_cp_action(b: Bounds) -> Check:
     bad, cases = [], 0
-    for mu in _parts_upto(b.degree):
+    for mu in partitions_upto(b.degree):
         g = basis_element("p", mu)
         for a in range(b.a_max + 1):
             for k in range(len(mu) + 1, b.k_max + 1):
@@ -440,12 +415,12 @@ def check_cp_action(b: Bounds) -> Check:
                 col = add_columns(mu, a, k)
                 if vertex.cp_column(a, k, g) != basis_element("p", col):
                     bad.append(f"CP_{a}^{k} p_{mu}")
-    return _check("actions: power column adder (strictly short inputs)", bad, cases)
+    return "actions: power column adder (strictly short inputs)", cases, bad
 
 
 def check_ch_ce_action(b: Bounds) -> Check:
     bad, cases = [], 0
-    for mu in _parts_upto(b.degree):
+    for mu in partitions_upto(b.degree):
         gh = basis_element("h", mu)
         ge = basis_element("e", mu)
         for k in range(max(len(mu), 1), b.k_max + 1):
@@ -455,12 +430,12 @@ def check_ch_ce_action(b: Bounds) -> Check:
                 bad.append(f"CH_1^{k} h_{mu}")
             if vertex.ce_column(k, ge) != basis_element("e", col):
                 bad.append(f"CE_1^{k} e_{mu}")
-    return _check("actions: homogeneous/elementary column adders", bad, cases)
+    return "actions: homogeneous/elementary column adders", cases, bad
 
 
 def check_rm_family_action(b: Bounds) -> Check:
     bad, cases = [], 0
-    for mu in _parts_upto(b.degree):
+    for mu in partitions_upto(b.degree):
         gm = basis_element("m", mu)
         for a in range(1, b.a_max + 1):
             row = insert_parts(mu, Partition((a,)))
@@ -475,23 +450,23 @@ def check_rm_family_action(b: Bounds) -> Check:
                 want = binomial(mult_count(mu, a) + k, k) * basis_element("m", shape)
                 if vertex.rm_rows(a, k, gm) != want:
                     bad.append(f"RMK_{a}^{k} m_{mu}")
-    return _check("actions: monomial row adders (coefficient laws)", bad, cases)
+    return "actions: monomial row adders (coefficient laws)", cases, bad
 
 
 def check_rf_action(b: Bounds) -> Check:
     bad, cases = [], 0
-    for mu in _parts_upto(b.degree):
+    for mu in partitions_upto(b.degree):
         gf = basis_element("f", mu)
         for a in range(1, b.a_max + 1):
             cases += 1
             if vertex.rf_row(a, gf) != basis_element("f", insert_parts(mu, Partition((a,)))):
                 bad.append(f"RF_{a} f_{mu}")
-    return _check("actions: forgotten row adder", bad, cases)
+    return "actions: forgotten row adder", cases, bad
 
 
 def check_cm_cf_action(b: Bounds) -> Check:
     bad, cases = [], 0
-    for mu in _parts_upto(b.degree):
+    for mu in partitions_upto(b.degree):
         gm = basis_element("m", mu)
         gf = basis_element("f", mu)
         for a in range(b.a_max + 1):
@@ -510,12 +485,12 @@ def check_cm_cf_action(b: Bounds) -> Check:
                         bad.append(f"CM_{a}^{k} m_{mu}")
                     if resf != basis_element("f", col):
                         bad.append(f"CF_{a}^{k} f_{mu}")
-    return _check("actions: monomial/forgotten column adders with vanishing", bad, cases)
+    return "actions: monomial/forgotten column adders with vanishing", cases, bad
 
 
 def check_rs_action(b: Bounds) -> Check:
     bad, cases = [], 0
-    for mu in _parts_upto(b.degree):
+    for mu in partitions_upto(b.degree):
         g = basis_element("s", mu)
         for a in range(b.a_max + 1):
             cases += 1
@@ -533,12 +508,12 @@ def check_rs_action(b: Bounds) -> Check:
                 )
                 if got != want:
                     bad.append(f"RS_{a} s_{mu} (straightened)")
-    return _check("actions: Schur row adder incl. straightening", bad, cases)
+    return "actions: Schur row adder incl. straightening", cases, bad
 
 
 def check_cs_action(b: Bounds) -> Check:
     bad, cases = [], 0
-    for mu in _parts_upto(b.degree):
+    for mu in partitions_upto(b.degree):
         g = basis_element("s", mu)
         for a in range(b.a_max + 1):
             for k in range(b.k_max + 1):
@@ -550,7 +525,7 @@ def check_cs_action(b: Bounds) -> Check:
                         bad.append(f"CS_{a}^{k} s_{mu} not 0 for tall shape")
                 elif got != basis_element("s", col):
                     bad.append(f"CS_{a}^{k} s_{mu}")
-    return _check("actions: Schur column adder with vanishing", bad, cases)
+    return "actions: Schur column adder with vanishing", cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -559,39 +534,32 @@ def check_cs_action(b: Bounds) -> Check:
 
 
 def _p_span(n: int) -> list[tuple[Partition, SymFunc]]:
-    return [(lam, basis_element("p", lam)) for lam in _parts_upto(n)]
-
-
-# Operator images of single basis elements recur across the relation checks;
-# memoize them (SymFunc values are immutable, sharing is safe).
-@lru_cache(maxsize=None)
-def _ce_on_e(k: int, lam: Partition) -> SymFunc:
-    return vertex.ce_column(k, basis_element("e", lam))
+    return [(lam, basis_element("p", lam)) for lam in partitions_upto(n)]
 
 
 @lru_cache(maxsize=None)
-def _ch_on_h(k: int, lam: Partition) -> SymFunc:
-    return vertex.ch_column(k, basis_element("h", lam))
+def _image(op: Callable[..., SymFunc], params: tuple, basis: str, lam: Partition) -> SymFunc:
+    """op(*params, b_lam): the relation checks reuse the operator images of
+    single basis elements.  Keyed by the function object, so an operator
+    replaced at run time never reads another's images."""
+    return op(*params, basis_element(basis, lam))
 
 
-@lru_cache(maxsize=None)
-def _rmk_on_m(a: int, k: int, lam: Partition) -> SymFunc:
-    return vertex.rm_rows(a, k, basis_element("m", lam))
-
-
-@lru_cache(maxsize=None)
-def _cm_on_m(a: int, k: int, lam: Partition) -> SymFunc:
-    return vertex.cm_column(a, k, basis_element("m", lam))
-
-
-@lru_cache(maxsize=None)
-def _cs_on_s(a: int, k: int, lam: Partition) -> SymFunc:
-    return vertex.cs_column(a, k, basis_element("s", lam))
-
-
-@lru_cache(maxsize=None)
-def _rsk_on_s(a: int, k: int, lam: Partition) -> SymFunc:
-    return vertex.rs_rows(a, k, basis_element("s", lam))
+def _signed_perp_sum(
+    g: SymFunc,
+    lams: Iterable[Partition],
+    by: Callable[[Partition], SymFunc],
+    image: Callable[[Partition], SymFunc],
+) -> SymFunc:
+    """sum over lam in ``lams`` of (-1)^{|lam|} image(lam) * by(lam)^perp g,
+    building image(lam) only where the skew is nonzero.  The oracles keep
+    this loop of their own, apart from the one the operators sum through, so
+    that a fault in that loop cannot show on both sides of a check."""
+    return SymFunc.sum(
+        (-1) ** sum(lam) * image(lam) * skewed
+        for lam in lams
+        if not (skewed := skew(by(lam), g)).is_zero
+    )
 
 
 def check_rs_anticommutation(b: Bounds) -> Check:
@@ -607,7 +575,7 @@ def check_rs_anticommutation(b: Bounds) -> Check:
             cases += 1
             if not vertex.rs_row(a, vertex.rs_row(a + 1, g)).is_zero:
                 bad.append(f"RS_{a} RS_{a+1} != 0 on s_{mu}")
-    return _check("identities: Schur row adder anticommutation", bad, cases)
+    return "identities: Schur row adder anticommutation", cases, bad
 
 
 def check_rsk_vs_composition(b: Bounds) -> Check:
@@ -621,7 +589,7 @@ def check_rsk_vs_composition(b: Bounds) -> Check:
                     composed = vertex.rs_row(a, composed)
                 if vertex.rs_rows(a, k, g) != composed:
                     bad.append(f"RSK_{a}^{k} != RS_{a} composed {k} times on s_{mu}")
-    return _check("identities: closed-form Schur power vs composition", bad, cases)
+    return "identities: closed-form Schur power vs composition", cases, bad
 
 
 def check_rm1_power_law(b: Bounds) -> Check:
@@ -636,13 +604,13 @@ def check_rm1_power_law(b: Bounds) -> Check:
                     powered = vertex.rm_row_one(a, powered)
                 if powered != factorial(k) * vertex.rm_rows(a, k, g):
                     bad.append(f"RM1^{k} != {k}! RMK on p_{lam}, a={a}")
-    return _check("identities: iterated one-row adder vs k-row adder", bad, cases)
+    return "identities: iterated one-row adder vs k-row adder", cases, bad
 
 
 def check_rm_commutativity(b: Bounds) -> Check:
     bad, cases = [], 0
     n = min(b.identity_degree, 5)
-    for lam in _parts_upto(n):
+    for lam in partitions_upto(n):
         g = basis_element("m", lam)
         for a in range(1, b.a_max + 1):
             for a2 in range(a, b.a_max + 1):
@@ -651,17 +619,18 @@ def check_rm_commutativity(b: Bounds) -> Check:
                     a2, vertex.rm_row(a, g)
                 ):
                     bad.append(f"RM_{a} RM_{a2} not commuting on m_{lam}")
-    return _check("identities: monomial row adders commute", bad, cases)
+    return "identities: monomial row adders commute", cases, bad
 
 
 # The literal defining sums of the three omega-mirrored operators, which the
 # library computes as omega o X o omega.
 def ce_column_literal(k: int, g: SymFunc) -> SymFunc:
     """sum over l(lam) <= k of (-1)^{|lam|} h_{lam + 1^k} f_lam^perp."""
-    return SymFunc.sum(
-        (-1) ** sum(lam) * basis_element("h", add_columns(lam, 1, k)) * skewed
-        for lam in _parts_upto(g.degree(), max_length=k)
-        if not (skewed := skew(basis_element("f", lam), g)).is_zero
+    return _signed_perp_sum(
+        g,
+        partitions_upto(g.degree(), max_length=k),
+        partial(basis_element, "f"),
+        lambda lam: basis_element("h", add_columns(lam, 1, k)),
     )
 
 
@@ -672,13 +641,12 @@ def cf_column_literal(a: int, k: int, g: SymFunc) -> SymFunc:
         return SymFunc.sum(
             c * basis_element("f", mu) for mu, c in expand(g, "f").terms.items() if len(mu) <= k
         )
-    return SymFunc.sum(
-        (-1) ** sum(lam)
-        * binomial(mult_count(lam, a) + k, k)
-        * basis_element("f", insert_parts(lam, Partition((a,) * k)))
-        * skewed
-        for lam in _parts_upto(g.degree())
-        if not (skewed := skew(basis_element("h", lam), g)).is_zero
+    return _signed_perp_sum(
+        g,
+        partitions_upto(g.degree()),
+        partial(basis_element, "h"),
+        lambda lam: binomial(mult_count(lam, a) + k, k)
+        * basis_element("f", insert_parts(lam, Partition((a,) * k))),
     )
 
 
@@ -686,15 +654,16 @@ def rf_row_literal(a: int, g: SymFunc) -> SymFunc:
     """sum over k >= 0, l(lam) <= k + 1 of
     (-1)^{|lam| + k} f_{lam + a^{k+1}} h_lam^perp (e_a^k)^perp, for a >= 1."""
     deg = g.degree()
-    terms = []
-    for k in range(deg // a + 1):
-        inner = skew(basis_element("e", Partition((a,) * k)), g)
-        for lam in _parts_upto(deg - a * k, max_length=k + 1):
-            skewed = skew(basis_element("h", lam), inner)
-            if not skewed.is_zero:
-                col = add_columns(lam, a, k + 1)
-                terms.append((-1) ** (sum(lam) + k) * basis_element("f", col) * skewed)
-    return SymFunc.sum(terms)
+    return SymFunc.sum(
+        (-1) ** k
+        * _signed_perp_sum(
+            skew(basis_element("e", Partition((a,) * k)), g),
+            partitions_upto(deg - a * k, max_length=k + 1),
+            partial(basis_element, "h"),
+            lambda lam: basis_element("f", add_columns(lam, a, k + 1)),
+        )
+        for k in range(deg // a + 1)
+    )
 
 
 def check_omega_conjugation(b: Bounds) -> Check:
@@ -712,82 +681,60 @@ def check_omega_conjugation(b: Bounds) -> Check:
             cases += 1
             if vertex.rf_row(a, g) != rf_row_literal(a, g):
                 bad.append(f"RF != its literal sum on p_{lam}, a={a}")
-    return _check("identities: omega conjugation for CE/CF/RF", bad, cases)
+    return "identities: omega conjugation for CE/CF/RF", cases, bad
 
 
 def check_eerie_he(b: Bounds) -> Check:
     bad, cases = [], 0
+    m_of, f_of = partial(basis_element, "m"), partial(basis_element, "f")
     for k in range(1, b.k_max + 1):
+        ce_of_e = partial(_image, vertex.ce_column, (k,), "e")
+        ch_of_h = partial(_image, vertex.ch_column, (k,), "h")
         for lam, g in _p_span(b.identity_degree):
             cases += 2
-            deg = g.degree()
-            lhs1 = vertex.ch_column(k, g)
-            rhs1 = SymFunc.zero()
-            lhs2 = vertex.ce_column(k, g)
-            rhs2 = SymFunc.zero()
-            for mu in _parts_upto(deg, max_length=k):
-                sign = -1 if sum(mu) % 2 else 1
-                sk_m = skew(basis_element("m", mu), g)
-                if not sk_m.is_zero:
-                    rhs1 = rhs1 + sign * _ce_on_e(k, mu) * sk_m
-                sk_f = skew(basis_element("f", mu), g)
-                if not sk_f.is_zero:
-                    rhs2 = rhs2 + sign * _ch_on_h(k, mu) * sk_f
-            if lhs1 != rhs1:
+            mus = list(partitions_upto(g.degree(), max_length=k))
+            if vertex.ch_column(k, g) != _signed_perp_sum(g, mus, m_of, ce_of_e):
                 bad.append(f"CH != sum CE(e) m-skew at k={k}, p_{lam}")
-            if lhs2 != rhs2:
+            if vertex.ce_column(k, g) != _signed_perp_sum(g, mus, f_of, ch_of_h):
                 bad.append(f"CE != sum CH(h) f-skew at k={k}, p_{lam}")
-    return _check("identities: paired h/e column-adder relation", bad, cases)
+    return "identities: paired h/e column-adder relation", cases, bad
 
 
 def check_eerie_cm(b: Bounds) -> Check:
     bad, cases = [], 0
+    e_of = partial(basis_element, "e")
     for a in range(1, b.a_max + 1):
         for k in range(1, b.k_max + 1):
+            rmk_of_m = partial(_image, vertex.rm_rows, (a, k), "m")
+            cm_of_m = partial(_image, vertex.cm_column, (a, k), "m")
             for lam, g in _p_span(b.identity_degree):
                 cases += 2
-                deg = g.degree()
-                lhs1 = vertex.cm_column(a, k, g)
-                rhs1 = SymFunc.zero()
-                lhs2 = vertex.rm_rows(a, k, g)
-                rhs2 = SymFunc.zero()
-                for mu in _parts_upto(deg):
-                    sign = -1 if sum(mu) % 2 else 1
-                    sk = skew(basis_element("e", mu), g)
-                    if sk.is_zero:
-                        continue
-                    rhs1 = rhs1 + sign * _rmk_on_m(a, k, mu) * sk
-                    rhs2 = rhs2 + sign * _cm_on_m(a, k, mu) * sk
-                if lhs1 != rhs1:
+                mus = list(partitions_upto(g.degree()))
+                if vertex.cm_column(a, k, g) != _signed_perp_sum(g, mus, e_of, rmk_of_m):
                     bad.append(f"CM != sum RMK(m) e-skew at a={a}, k={k}, p_{lam}")
-                if lhs2 != rhs2:
+                if vertex.rm_rows(a, k, g) != _signed_perp_sum(g, mus, e_of, cm_of_m):
                     bad.append(f"RMK != sum CM(m) e-skew at a={a}, k={k}, p_{lam}")
-    return _check("identities: paired monomial row/column relation", bad, cases)
+    return "identities: paired monomial row/column relation", cases, bad
 
 
 def check_eerie_cs(b: Bounds) -> Check:
     bad, cases = [], 0
+
+    def s_conj_of(mu: Partition) -> SymFunc:
+        return basis_element("s", conjugate(mu))
+
     for a in range(b.a_max + 1):
         for k in range(b.k_max + 1):
+            cs_of_s = partial(_image, vertex.cs_column, (a, k), "s")
+            rsk_of_s = partial(_image, vertex.rs_rows, (a, k), "s")
             for lam, g in _p_span(b.identity_degree):
                 cases += 2
-                deg = g.degree()
-                lhs1 = vertex.rs_rows(a, k, g)
-                rhs1 = SymFunc.zero()
-                lhs2 = vertex.cs_column(a, k, g)
-                rhs2 = SymFunc.zero()
-                for mu in _parts_upto(deg):
-                    sign = -1 if sum(mu) % 2 else 1
-                    sk = skew(basis_element("s", conjugate(mu)), g)
-                    if sk.is_zero:
-                        continue
-                    rhs1 = rhs1 + sign * _cs_on_s(a, k, mu) * sk
-                    rhs2 = rhs2 + sign * _rsk_on_s(a, k, mu) * sk
-                if lhs1 != rhs1:
+                mus = list(partitions_upto(g.degree()))
+                if vertex.rs_rows(a, k, g) != _signed_perp_sum(g, mus, s_conj_of, cs_of_s):
                     bad.append(f"RSK != sum CS(s) s'-skew at a={a}, k={k}, p_{lam}")
-                if lhs2 != rhs2:
+                if vertex.cs_column(a, k, g) != _signed_perp_sum(g, mus, s_conj_of, rsk_of_s):
                     bad.append(f"CS != sum RSK(s) s'-skew at a={a}, k={k}, p_{lam}")
-    return _check("identities: paired Schur row/column relation", bad, cases)
+    return "identities: paired Schur row/column relation", cases, bad
 
 
 def check_cs_everything(b: Bounds) -> Check:
@@ -808,7 +755,7 @@ def check_cs_everything(b: Bounds) -> Check:
                     "s", assignment(a, k), g
                 ):
                     bad.append(f"CS != everything-operator at a={a}, k={k}, p_{lam}")
-    return _check("identities: Schur column adder via everything operator", bad, cases)
+    return "identities: Schur column adder via everything operator", cases, bad
 
 
 def check_tx_forms(b: Bounds) -> Check:
@@ -820,7 +767,7 @@ def check_tx_forms(b: Bounds) -> Check:
                 cases += 1
                 if vertex.t_minus_x_sum(g, pair) != want:
                     bad.append(f"constant-term sum form ({pair}) on {base}_{lam}")
-    return _check("identities: constant-term operator sum forms", bad, cases)
+    return "identities: constant-term operator sum forms", cases, bad
 
 
 def check_schur_skew_h1n(b: Bounds) -> Check:
@@ -837,7 +784,7 @@ def check_schur_skew_h1n(b: Bounds) -> Check:
                 )
                 if got != want:
                     bad.append(f"s_{lam}-skew of h_1^{n}")
-    return _check("identities: Schur skew of h_1^n counts tableaux", bad, cases)
+    return "identities: Schur skew of h_1^n counts tableaux", cases, bad
 
 
 def check_power_commutation(b: Bounds) -> Check:
@@ -852,20 +799,17 @@ def check_power_commutation(b: Bounds) -> Check:
                 if lhs != want:
                     bad.append(f"p_{k}-skew / p_{j}-multiply commutator on p_{mu}")
     for mu, g in _p_span(n):
-        for lam in _parts_upto(n):
+        for lam in partitions_upto(n):
             plam = basis_element("p", lam)
             for k in range(1, n + 1):
                 cases += 1
-                lhs = skew(plam, pn(k) * g)
-                rhs = pn(k) * skew(plam, g)
-                cnt = mult_count(lam, k)
-                if cnt:
-                    rhs = rhs + k * cnt * skew(
-                        basis_element("p", remove_parts(lam, Partition((k,)))), g
-                    )
-                if lhs != rhs:
+                terms = [pn(k) * skew(plam, g)]
+                if cnt := mult_count(lam, k):
+                    reduced = basis_element("p", remove_parts(lam, Partition((k,))))
+                    terms.append(k * cnt * skew(reduced, g))
+                if skew(plam, pn(k) * g) != SymFunc.sum(terms):
                     bad.append(f"p_lam-skew commutation at lam={lam}, k={k}, p_{mu}")
-    return _check("ring: power skew/multiply commutation", bad, cases)
+    return "ring: power skew/multiply commutation", cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +827,7 @@ def check_pairs_agreement(b: Bounds) -> Check:
             brute = tableaux.bounded_height_pairs(n, k, "brute")
             if not (closed == det == brute):
                 bad.append(f"pair counts disagree at n={n}, k={k}: {closed},{det},{brute}")
-    return _check("tableaux: closed/det/brute pair counts agree", bad, cases)
+    return "tableaux: closed/det/brute pair counts agree", cases, bad
 
 
 CATALAN_FIRST_ELEVEN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
@@ -898,7 +842,7 @@ def check_pairs_catalan(b: Bounds) -> Check:
             bad.append(f"height-2 count is not Catalan at n={n}")
         if n < len(CATALAN_FIRST_ELEVEN) and got != CATALAN_FIRST_ELEVEN[n]:
             bad.append(f"height-2 count differs from frozen Catalan value at n={n}")
-    return _check("tableaux: height-2 pair counts are Catalan numbers", bad, cases)
+    return "tableaux: height-2 pair counts are Catalan numbers", cases, bad
 
 
 def check_pairs_one_row(b: Bounds) -> Check:
@@ -907,7 +851,7 @@ def check_pairs_one_row(b: Bounds) -> Check:
         cases += 1
         if tableaux.bounded_height_pairs(n, 1, "closed") != 1:
             bad.append(f"height-1 count != 1 at n={n}")
-    return _check("tableaux: height-1 pair count is 1", bad, cases)
+    return "tableaux: height-1 pair count is 1", cases, bad
 
 
 def check_pairs_saturation(b: Bounds) -> Check:
@@ -919,7 +863,7 @@ def check_pairs_saturation(b: Bounds) -> Check:
             cases += 1
             if tableaux.bounded_height_pairs(n, k, "closed") != factorial(n):
                 bad.append(f"unbounded-height count != n! at n={n}, k={k}")
-    return _check("tableaux: pair count saturates at n!", bad, cases)
+    return "tableaux: pair count saturates at n!", cases, bad
 
 
 def check_schur_sum_lemma(b: Bounds) -> Check:
@@ -935,7 +879,7 @@ def check_schur_sum_lemma(b: Bounds) -> Check:
             )
             if not (formula == operator == direct):
                 bad.append(f"bounded-height Schur sum mismatch at n={n}, k={k}")
-    return _check("tableaux: bounded-height Schur sum, three routes", bad, cases)
+    return "tableaux: bounded-height Schur sum, three routes", cases, bad
 
 
 def check_rsform(b: Bounds) -> Check:
@@ -945,7 +889,7 @@ def check_rsform(b: Bounds) -> Check:
             cases += 1
             if tableaux.rs0_power_expansion(n, k) != vertex.rs_rows(0, k, hn(1) ** n):
                 bad.append(f"width-zero power expansion mismatch at n={n}, k={k}")
-    return _check("tableaux: width-zero Schur power expansion", bad, cases)
+    return "tableaux: width-zero Schur power expansion", cases, bad
 
 
 def _convolve(f: dict[int, Fraction], g: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -971,7 +915,7 @@ def check_theta(b: Bounds) -> Check:
                             tableaux.theta(g1), tableaux.theta(g2)
                         ):
                             bad.append(f"theta not multiplicative at {base}, {lam1},{lam2}")
-    for lam in _parts_upto(max(b.degree, 8)):
+    for lam in partitions_upto(max(b.degree, 8)):
         cases += 1
         d = sum(lam)
         want = {d: Fraction(tableaux.syt_count(lam), factorial(d))}
@@ -981,16 +925,16 @@ def check_theta(b: Bounds) -> Check:
         cases += 1
         if tableaux.theta(hn(nn)) != {nn: Fraction(1, factorial(nn))}:
             bad.append(f"theta(h_{nn}) wrong")
-    return _check("tableaux: exponential specialization", bad, cases)
+    return "tableaux: exponential specialization", cases, bad
 
 
 def check_syt_brute(b: Bounds) -> Check:
     bad, cases = [], 0
-    for lam in _parts_upto(max(b.degree, 8)):
+    for lam in partitions_upto(max(b.degree, 8)):
         cases += 1
         if tableaux.syt_count(lam) != tableaux.syt_count_brute(lam):
             bad.append(f"hook count != enumeration at {lam}")
-    return _check("tableaux: hook-length count vs enumeration", bad, cases)
+    return "tableaux: hook-length count vs enumeration", cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -1001,12 +945,12 @@ def check_syt_brute(b: Bounds) -> Check:
 def check_oracle_conversions(b: Bounds) -> Check:
     bad, cases = [], 0
     for base in BASES:
-        for lam in _parts_upto(b.oracle_degree):
+        for lam in partitions_upto(b.oracle_degree):
             cases += 1
             if not polyoracle.check_conversion(base, lam, b.oracle_vars):
                 mismatch = polyoracle.first_mismatch(base, lam, b.oracle_vars)
                 bad.append(f"conversion of {base}_{lam} off at monomial {mismatch}")
-    return _check("oracle: basis conversions vs direct realizations", bad, cases)
+    return "oracle: basis conversions vs direct realizations", cases, bad
 
 
 def check_oracle_ring_hom(b: Bounds) -> Check:
@@ -1025,20 +969,20 @@ def check_oracle_ring_hom(b: Bounds) -> Check:
                         lhs = polyoracle.realize_symfunc(g1 * g2, v)
                         if lhs != r1 * polyoracle.realize_symfunc(g2, v):
                             bad.append(f"realization not multiplicative at {base}, {lam1},{lam2}")
-    return _check("oracle: realization is a ring homomorphism", bad, cases)
+    return "oracle: realization is a ring homomorphism", cases, bad
 
 
 def check_oracle_symmetry(b: Bounds) -> Check:
     bad, cases = [], 0
     v = min(b.oracle_vars, 5)
     for base in BASES:
-        for lam in _parts_upto(min(b.oracle_degree, 5)):
+        for lam in partitions_upto(min(b.oracle_degree, 5)):
             poly = polyoracle.realize(base, lam, v)
             for i in range(v - 1):
                 cases += 1
                 if poly.swap_vars(i, i + 1) != poly:
                     bad.append(f"realization of {base}_{lam} not symmetric in x{i+1},x{i+2}")
-    return _check("oracle: realizations are symmetric polynomials", bad, cases)
+    return "oracle: realizations are symmetric polynomials", cases, bad
 
 
 # ---------------------------------------------------------------------------
@@ -1097,7 +1041,7 @@ def check_cli_examples(b: Bounds) -> Check:
     if out1 != out2 or out1[0] != 0:
         bad.append("JSON output not byte-stable across runs")
 
-    return _check("cli: documented example invocations", bad, cases)
+    return "cli: documented example invocations", cases, bad
 
 
 def check_cli_roundtrip(b: Bounds) -> Check:
@@ -1111,13 +1055,13 @@ def check_cli_roundtrip(b: Bounds) -> Check:
                 text = expand(g, dst).to_text()
                 if parse_expression(text) != g:
                     bad.append(f"print/parse roundtrip of {base}_{lam} via {dst}")
-    return _check("cli: expansion text parses back to the same function", bad, cases)
+    return "cli: expansion text parses back to the same function", cases, bad
 
 
 def check_cli_default_verify(b: Bounds) -> Check:
     code, out, _ = _run_cli(["verify"])
     bad = [] if code == 0 else [f"default verify exited {code}:\n{out}"]
-    return _check("cli: default verify run exits 0", bad, 1)
+    return "cli: default verify run exits 0", 1, bad
 
 
 # ---------------------------------------------------------------------------
@@ -1192,17 +1136,6 @@ SUITES: dict[str, list[Callable[[Bounds], Check]]] = {
         check_cli_roundtrip,
     ],
 }
-
-DEFAULT_SUITES = (
-    "partitions",
-    "ring",
-    "lemmas",
-    "actions",
-    "identities",
-    "tableaux",
-    "oracle",
-    "cli",
-)
 
 # The acceptance gate: criterion number, description, checks, bounds.
 # Everything is exact equality; the bounds are part of the contract.

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .partitions import (
     Partition,
@@ -52,15 +52,10 @@ from .partitions import (
     conjugate,
     insert_parts,
     mult_count,
-    partitions_of,
+    partitions_upto,
     z_value,
 )
 from .ring import BasisExpansion, SymFunc, basis_element, en, expand, hn, omega, pn, skew
-
-
-def _indices(max_size: int, max_length: Optional[int] = None) -> Iterator[Partition]:
-    for n in range(max_size + 1):
-        yield from partitions_of(n, max_length=max_length)
 
 
 def _sign(lam: Partition) -> int:
@@ -101,7 +96,7 @@ def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
         return coeff * Fraction(1, z_value(lam))
 
     return _perp_sum(
-        g, _indices(g.degree(), max_length=k), lambda lam: basis_element("p", lam), image
+        g, partitions_upto(g.degree(), max_length=k), lambda lam: basis_element("p", lam), image
     )
 
 
@@ -112,7 +107,7 @@ def ch_column(k: int, g: SymFunc) -> SymFunc:
         raise ValueError("k must be positive")
     return _perp_sum(
         g,
-        _indices(g.degree(), max_length=k),
+        partitions_upto(g.degree(), max_length=k),
         lambda lam: basis_element("m", lam),
         lambda lam: _sign(lam) * basis_element("e", add_columns(lam, 1, k)),
     )
@@ -158,7 +153,7 @@ def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
         return g
     return _perp_sum(
         g,
-        _indices(g.degree(), max_length=k),
+        partitions_upto(g.degree(), max_length=k),
         lambda lam: basis_element("e", lam),
         lambda lam: _sign(lam) * basis_element("m", add_columns(lam, a, k)),
     )
@@ -179,7 +174,7 @@ def rm_row(a: int, g: SymFunc) -> SymFunc:
     def over_lam(k: int) -> SymFunc:
         return _perp_sum(
             skew(basis_element("h", Partition((a,) * k)), g),
-            _indices(deg - a * k, max_length=k + 1),
+            partitions_upto(deg - a * k, max_length=k + 1),
             lambda lam: basis_element("e", lam),
             lambda lam: (-1) ** k * _sign(lam) * basis_element("m", add_columns(lam, a, k + 1)),
         )
@@ -218,7 +213,7 @@ def cm_column(a: int, k: int, g: SymFunc) -> SymFunc:
     column = Partition((a,) * k)
     return _perp_sum(
         g,
-        _indices(g.degree()),
+        partitions_upto(g.degree()),
         lambda lam: basis_element("e", lam),
         lambda lam: _sign(lam)
         * binomial(mult_count(lam, a) + k, k)
@@ -262,7 +257,7 @@ def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
         return g
     return _perp_sum(
         g,
-        _indices(g.degree(), max_length=k),
+        partitions_upto(g.degree(), max_length=k),
         lambda lam: basis_element("s", conjugate(lam)),
         lambda lam: _sign(lam) * basis_element("s", add_columns(lam, a, k)),
     )
@@ -286,7 +281,7 @@ def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
         raise ValueError("a and k must be non-negative")
     return _perp_sum(
         g,
-        _indices(g.degree()),
+        partitions_upto(g.degree()),
         lambda lam: basis_element("s", conjugate(lam)),
         lambda lam: _sign(lam) * _rs_rows_on_schur(a, k, lam),
     )
@@ -320,7 +315,7 @@ def t_minus_x_sum(g: SymFunc, pair: str = "ss") -> SymFunc:
     if pair not in _TX_PAIRS:
         raise ValueError(f"pair must be one of {tuple(_TX_PAIRS)}")
     mult, by = _TX_PAIRS[pair]
-    return _perp_sum(g, _indices(g.degree()), by, lambda lam: _sign(lam) * mult(lam))
+    return _perp_sum(g, partitions_upto(g.degree()), by, lambda lam: _sign(lam) * mult(lam))
 
 
 AssignmentLike = Union[Mapping[Partition, SymFunc], Callable[[Partition], SymFunc]]

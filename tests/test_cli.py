@@ -162,3 +162,12 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_default_verify_output_is_pinned(capsys):
+    # Every check name and case count of the default run; a renamed check or a
+    # changed case count shows here, not only a nonzero exit code.
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 0
+    assert err == ""
+    assert out == (Path(__file__).parent / "verify_default.txt").read_text()

@@ -1,0 +1,84 @@
+"""The README's concurrency claim: conversion caches filled from many threads
+at once hold the same values as a fill from one thread, and every result
+matches."""
+
+import sys
+import threading
+
+from symfunc import ring, vertex
+from symfunc.partitions import partitions_of, partitions_upto
+from symfunc.ring import basis_element, hn
+
+DEGREE = 7
+THREADS = 8  # more threads than cores, so fills interleave
+ROUNDS = 3  # each round is one chance for a racy fill to show
+
+# Conversions cached per partition, and per degree n.
+PARTITION_CACHES = ("_h_p", "_e_p", "_s_p", "_m_p", "_f_p", "_p_h")
+DEGREE_CACHES = ("_hn_p", "_en_p")
+ALL_CACHES = [fn for fn in vars(ring).values() if hasattr(fn, "cache_clear")]
+ALL_CACHES.append(vertex._rs_rows_on_schur)
+
+
+def _work():
+    elements = {(b, lam): basis_element(b, lam) for b in "smf" for lam in partitions_of(DEGREE)}
+    return elements, vertex.cs_column(0, 3, hn(1) ** 6)
+
+
+def _cache_state():
+    """The size of every cache, then the value under every key up to DEGREE.
+    The sizes come first: reading fills the keys the work did not reach, the
+    same way in both states."""
+    sizes = [fn.cache_info().currsize for fn in ALL_CACHES]
+    values = {}
+    for name in PARTITION_CACHES:
+        for lam in partitions_upto(DEGREE):
+            values[name, lam] = dict(getattr(ring, name)(lam))
+    for name in DEGREE_CACHES:
+        for n in range(DEGREE + 1):
+            values[name, n] = dict(getattr(ring, name)(n))
+    return sizes, values
+
+
+def _clear_caches():
+    for fn in ALL_CACHES:
+        fn.cache_clear()
+
+
+def _threaded_work():
+    """_work() in THREADS threads released together, so that they miss the
+    same cache keys at once; returns each thread's result."""
+    results = [None] * THREADS
+    errors = []
+    start = threading.Barrier(THREADS)
+
+    def run(i):
+        try:
+            start.wait(timeout=60)
+            results[i] = _work()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    return results
+
+
+def test_threaded_fills_match_a_single_thread():
+    _clear_caches()
+    reference = _work()
+    reference_state = _cache_state()
+    for _ in range(ROUNDS):
+        _clear_caches()
+        assert all(result == reference for result in _threaded_work())
+        assert _cache_state() == reference_state

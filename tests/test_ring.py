@@ -14,7 +14,6 @@ from symfunc.ring import (
     hn,
     inner_product,
     jacobi_trudi,
-    multiply,
     omega,
     pn,
     r_coefficient,
@@ -92,7 +91,7 @@ def test_expand_examples():
 def test_multiply_examples():
     assert pn(2) * basis_element("p", P((2, 1))) == basis_element("p", P((2, 2, 1)))
     assert dict(expand(hn(1) * hn(1), "m").terms) == {P((2,)): 1, P((1, 1)): 2}
-    assert multiply(hn(3), SymFunc.zero()).is_zero
+    assert (hn(3) * SymFunc.zero()).is_zero
 
 
 def test_inner_product_examples():
