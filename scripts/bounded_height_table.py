@@ -8,14 +8,14 @@ at n!.
 
 import argparse
 
-from symfunc.tableaux import bounded_height_pairs
+from symfunc.tableaux import PAIR_METHODS, bounded_height_pairs
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=10)
     parser.add_argument("--max-k", type=int, default=5)
-    parser.add_argument("--method", default="closed", choices=["closed", "det", "brute"])
+    parser.add_argument("--method", default="closed", choices=PAIR_METHODS)
     args = parser.parse_args()
 
     ks = list(range(1, args.max_k + 1))

@@ -9,7 +9,8 @@ Subcommands:
   verify  [--max-degree D] [--oracle] [--suite NAME]   run invariant suites
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse errors.
+1 verification failure, 2 usage or parse errors, 3 internal faults (an
+exact computation that broke its own integrality check).
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -51,11 +51,12 @@ def _omega_sign(lam: tuple[int, ...]) -> int:
     return -1 if (sum(lam) - len(lam)) % 2 else 1
 
 
-def _dict_add(dst: _PDict, src: Mapping, scale: Fraction = Fraction(1)) -> None:
+def _dict_add(dst: _PDict, src: Mapping, scale: ScalarLike = 1) -> None:
     if not scale:
         return
+    unit = scale == 1
     for lam, c in src.items():
-        v = dst.get(lam, 0) + c * scale
+        v = dst.get(lam, 0) + (c if unit else c * scale)
         if v:
             dst[lam] = v
         else:

@@ -133,7 +133,8 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
 
     closed: sum over compositions s of n into k parts of
         multinomial(n; s) * prod_{i<j} (s_j + j - (s_i + i))
-                          / prod_i (s_i + i - 1)!  * n!
+                          / prod_i (s_i + i - 1)!  * n!,
+            summed as integer numerators with one exact division at the end.
     det:    n! times the x^n coefficient of theta(bounded_height_schur_sum).
     brute:  sum the squared hook-length counts directly.
     """
@@ -149,27 +150,80 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
         return int(value)
     if method != "closed":
         raise ValueError("method must be one of 'closed', 'det', 'brute'")
-    total = sum((term for _, term in closed_form_terms(n, k)), Fraction(0))
-    if total.denominator != 1:
+    total = sum(w for _, w in _closed_numerators(n, k))
+    count, rem = divmod(total * math.factorial(n), math.factorial(n + k * (k - 1) // 2))
+    if rem:
         raise ArithmeticError("pair count came out non-integral")
-    return int(total)
+    return count
 
 
 def closed_form_terms(n: int, k: int) -> Iterator[tuple[Composition, Fraction]]:
     """Per-composition contributions of the closed-form pair count."""
-    nfact = math.factorial(n)
-    for s in compositions_of(n, k):
-        vandermonde = 1
-        for i in range(k):
-            for j in range(i + 1, k):
-                vandermonde *= (s[j] + j + 1) - (s[i] + i + 1)
-        if not vandermonde:
-            yield s, Fraction(0)
-            continue
-        denom = 1
-        for i in range(k):
-            denom *= math.factorial(s[i] + i)
-        yield s, Fraction(_multinomial(n, s) * vandermonde * nfact, denom)
+    scale = Fraction(math.factorial(n), math.factorial(n + k * (k - 1) // 2))
+    for s, w in _closed_numerators(n, k):
+        yield s, scale * w
+
+
+def _closed_numerators(n: int, k: int) -> Iterator[tuple[Composition, int]]:
+    """(s, multinomial(n; s) * multinomial(N; u) * V(u)) for each composition
+    s of n into k parts, in ``compositions_of`` order, zeros included.
+
+    Here u_i = s_i + i, N = n + k(k-1)/2 and V(u) = prod_{i<j} (u_j - u_i).
+    Since n! / prod_i u_i! = (n!/N!) * multinomial(N; u), the closed-form term
+    of s is n!/N! times its value.  Both multinomials are products over the
+    parts of binomials of prefix sums, so choosing s_j after a prefix with
+    sums S and U multiplies the prefix weight by C(S + s_j, s_j) *
+    C(U + u_j, u_j) * prod_{i<j} (u_j - u_i).  Each prefix weight is shared
+    by its whole subtree, and every leaf costs about 2k integer
+    multiplications, with no division.
+    """
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
+    if k == 1:
+        yield (n,), 1
+        return
+    big = n + k * (k - 1) // 2
+    # the binomials of the last part, whose prefix sums are n and N
+    last = [math.comb(n, s) * math.comb(big, s + k - 1) for s in range(n + 1)]
+    # a row of level j >= 2 serves every prefix with the same sum, so it is
+    # kept; a level-1 row serves exactly one prefix
+    rows: dict[tuple[int, int], list[int]] = {}
+
+    def row(j: int, S: int) -> list[int]:
+        """C(S + s, s) * C(U + u, u) for s = 0 .. n - S, where u = s + j and
+        U = S + j(j-1)/2 are the shifted part and prefix sum."""
+        out = rows.get((j, S))
+        if out is None:
+            U = S + j * (j - 1) // 2
+            a, b = 1, math.comb(U + j, j)
+            out = [b]
+            for s in range(1, n - S + 1):
+                a = a * (S + s) // s
+                b = b * (U + j + s) // (j + s)
+                out.append(a * b)
+            if j > 1:
+                rows[j, S] = out
+        return out
+
+    def extend(j: int, rest: int, weight: int, s: tuple, u: tuple) -> Iterator:
+        binom = row(j, n - rest)
+        for sj in range(rest, -1, -1):
+            uj = sj + j
+            w = weight * binom[sj]
+            for ui in u:
+                w *= uj - ui
+            if j < k - 2:
+                yield from extend(j + 1, rest - sj, w, s + (sj,), u + (uj,))
+                continue
+            # the last part takes what is left
+            sl = rest - sj
+            ul = sl + k - 1
+            w *= last[sl] * (ul - uj)
+            for ui in u:
+                w *= ul - ui
+            yield s + (sj, sl), w
+
+    yield from extend(0, n, 1, (), ())
 
 
 def catalan(n: int) -> int:

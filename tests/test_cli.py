@@ -171,3 +171,18 @@ def test_default_verify_output_is_pinned(capsys):
     assert code == 0
     assert err == ""
     assert out == (Path(__file__).parent / "verify_default.txt").read_text()
+
+
+def test_count_verbose_output_is_pinned(capsys):
+    # The README's verbose example and a default-method run at (7, 4): the
+    # count line and every per-composition term, byte for byte.
+    out = ""
+    for argv in (
+        ("count", "--n", "6", "--k", "3", "--method", "brute", "--verbose"),
+        ("count", "--n", "7", "--k", "4", "--verbose"),
+    ):
+        code, text, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ""
+        out += text
+    assert out == (Path(__file__).parent / "count_verbose.txt").read_text()

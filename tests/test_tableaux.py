@@ -4,12 +4,15 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symfunc.partitions import Partition, partitions_of
+import symfunc.tableaux as tableaux
+from symfunc.cli import main
+from symfunc.partitions import Partition, compositions_of, partitions_of
 from symfunc.ring import SymFunc, basis_element, expand, hn
 from symfunc.tableaux import (
     bounded_height_pairs,
     bounded_height_schur_sum,
     catalan,
+    closed_form_terms,
     rs0_power_expansion,
     syt_count,
     syt_count_brute,
@@ -122,3 +125,47 @@ def test_catalan_examples():
     assert [catalan(n) for n in range(11)] == [
         1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796,
     ]
+
+
+def test_closed_matches_brute_through_n16():
+    # k runs past n, where the count saturates at n!
+    for n in range(17):
+        for k in range(1, 8):
+            assert bounded_height_pairs(n, k, "closed") == bounded_height_pairs(
+                n, k, "brute"
+            ), (n, k)
+
+
+def test_closed_terms_match_literal_formula():
+    # multinomial(n; s) * prod_{i<j} (u_j - u_i) * n! / prod_i u_i!, u_i = s_i + i,
+    # one Fraction per composition as written in the docstring
+    for n in range(11):
+        for k in range(1, 6):
+            want = []
+            for s in compositions_of(n, k):
+                u = [s[i] + i for i in range(k)]
+                term = Fraction(factorial(n))
+                for part in s:
+                    term /= factorial(part)
+                for i in range(k):
+                    for j in range(i + 1, k):
+                        term *= u[j] - u[i]
+                for ui in u:
+                    term /= factorial(ui)
+                want.append((s, term * factorial(n)))
+            assert list(closed_form_terms(n, k)) == want, (n, k)
+
+
+def test_non_integral_closed_count_exits_3(capsys, monkeypatch):
+    numerators = tableaux._closed_numerators
+
+    def off_by_one(n, k):
+        for i, (s, w) in enumerate(numerators(n, k)):
+            yield s, w + (i == 0)
+
+    monkeypatch.setattr(tableaux, "_closed_numerators", off_by_one)
+    code = main(["count", "--n", "6", "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: pair count came out non-integral\n"
