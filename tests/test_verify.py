@@ -1,10 +1,11 @@
-"""Fault injection: a relation check must see a fault in the operator it checks.
+"""Fault injection: a check must see a fault in the operator it checks.
 
 Each operator below is replaced by one returning twice its value and run
 through a check that compares it with an independent route.  The pairs
 matter: ce_column is computed from ch_column and cs_column from rs_rows, so
 doubling ch_column or rs_rows scales both sides of check_eerie_he or
-check_eerie_cs alike, and those checks cannot see it.
+check_eerie_cs alike, and those checks cannot see it.  The action laws are
+checked through the CLI's registry, so there the registry entry is doubled.
 """
 
 import pytest
@@ -19,6 +20,7 @@ PAIRS = [
     ("cs_column", verify.check_eerie_cs),
     ("ce_column", verify.check_eerie_he),
     ("ch_column", verify.check_omega_conjugation),
+    ("rs_rows", verify.check_rsk_vs_composition),
 ]
 
 
@@ -35,3 +37,28 @@ def test_check_sees_a_doubled_operator(monkeypatch, op, check):
     # images stay with the replaced operator.
     monkeypatch.undo()
     assert check(BOUNDS)[1:] == (cases, [])
+
+
+# OPERATORS name -> the action-law check that covers it
+ACTION_CHECKS = {op: name for name, rows in verify.ACTION_LAWS.items() for op, *_ in rows}
+
+
+def test_action_laws_cover_the_registry():
+    # TX is no adder, and RSK, the k-th power of RS, is checked against
+    # composition (check_rsk_vs_composition) rather than by a law of its own.
+    assert set(ACTION_CHECKS) == set(vertex.OPERATORS) - {"TX", "RSK"}
+
+
+@pytest.mark.parametrize("op", sorted(ACTION_CHECKS))
+def test_action_check_sees_a_doubled_operator(monkeypatch, op):
+    bounds = Bounds(degree=3, a_max=2, k_max=2)
+    name = ACTION_CHECKS[op]
+    _, cases, bad = verify.check_action_laws(name, bounds)
+    assert cases and not bad, bad
+    fn, takes_a, takes_k = vertex.OPERATORS[op]
+    monkeypatch.setitem(vertex.OPERATORS, op, (lambda *args: 2 * fn(*args), takes_a, takes_k))
+    _, patched_cases, patched_bad = verify.check_action_laws(name, bounds)
+    assert patched_cases == cases
+    assert any(msg.startswith(f"{op} ") for msg in patched_bad), patched_bad
+    monkeypatch.undo()
+    assert verify.check_action_laws(name, bounds)[1:] == (cases, [])
