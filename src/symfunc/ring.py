@@ -4,22 +4,23 @@ Every symmetric function is stored in power-sum coordinates: a SymFunc is a
 finite map {partition -> nonzero Fraction} representing sum c_lam * p_lam.
 In these coordinates the product is a multiset union of indices, the Hall
 inner product is diagonal (<p_lam, p_mu> = z_lam * delta), the involution
-omega is a sign flip, and skewing by p_k is the derivation k * d/dp_k, so
-all operations are exact.
+omega is a sign flip, and skewing by p_lam deletes the parts of lam from
+each index mu, scaled by z_mu / z_{mu - lam}, so all operations are exact.
 
 Six classical bases are supported, named by single letters:
 
   p  power sums            h  complete homogeneous   e  elementary
   s  Schur                 m  monomial               f  forgotten
 
-h and e are multiplicative with the standard power-sum expansions.  The
-p_mu coordinates of s and m are integers over z_mu: for s_lam the character
-chi^lam(mu), by the Murnaghan-Nakayama rule; for m_lam the h_lam coordinate
-of p_mu, since m is dual to h (f = omega m).  The Jacobi-Trudi determinant
-over h stays as an independent route to s and to signed sequences.
-Conversions are cached per index, so repeated use is cheap.  SymFunc values
-are immutable once built and all functions are pure; concurrent readers are
-safe and cache refills are idempotent.
+h is multiplicative, with h_n = sum_{mu |- n} p_mu / z_mu; e = omega h and
+f = omega m.  The p_mu coordinates of s and m are integers over z_mu: for
+s_lam the character chi^lam(mu), by the Murnaghan-Nakayama rule; for m_lam
+the h_lam coordinate of p_mu, since m is dual to h.  The Jacobi-Trudi
+determinant over h stays as an independent route to s and to signed
+sequences.  One memo, keyed by basis and partition, holds every conversion,
+so repeated use is cheap.  SymFunc values are immutable once built and all
+functions are pure; concurrent readers are safe and cache refills are
+idempotent.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .partitions import (
     Partition,
     _wrap,
     partitions_of,
+    remove_parts,
     z_value,
 )
 
@@ -41,8 +43,9 @@ ScalarLike = Union[Fraction, int]
 
 BASES = ("p", "m", "e", "h", "s", "f")
 
-# Dual basis of each basis under the Hall inner product ("z" marks p/z_lam).
-DUAL_BASIS = {"p": "z", "m": "h", "h": "m", "e": "f", "f": "e", "s": "s"}
+# Dual basis of each basis under the Hall inner product (p's dual, p/z_lam,
+# is read off by expand directly).
+DUAL_BASIS = {"m": "h", "h": "m", "e": "f", "f": "e", "s": "s"}
 
 _PDict = dict  # {Partition: Fraction}, no zero values
 
@@ -69,22 +72,6 @@ def _dict_mul(a: Mapping, b: Mapping) -> _PDict:
         for mu, cb in b.items():
             key = _wrap(tuple(sorted(lam + mu, reverse=True)))
             v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
-
-
-def _dict_skew_pk(k: int, d: Mapping) -> _PDict:
-    # p_k^perp acting as k * d/dp_k on power-sum monomials.
-    out: _PDict = {}
-    for mu, c in d.items():
-        n = mu.count(k)
-        if n:
-            i = mu.index(k)
-            key = _wrap(mu[:i] + mu[i + 1 :])
-            v = out.get(key, 0) + c * k * n
             if v:
                 out[key] = v
             else:
@@ -274,38 +261,6 @@ class BasisExpansion:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _hn_p(n: int) -> _PDict:
-    # h_n = sum over mu |- n of p_mu / z_mu
-    if n == 0:
-        return {EMPTY: Fraction(1)}
-    return {mu: Fraction(1, z_value(mu)) for mu in partitions_of(n)}
-
-
-@lru_cache(maxsize=None)
-def _en_p(n: int) -> _PDict:
-    # e_n = sum over mu |- n of (-1)^{n - l(mu)} p_mu / z_mu
-    if n == 0:
-        return {EMPTY: Fraction(1)}
-    return {
-        mu: Fraction(-1 if (n - len(mu)) % 2 else 1, z_value(mu)) for mu in partitions_of(n)
-    }
-
-
-@lru_cache(maxsize=None)
-def _h_p(lam: Partition) -> _PDict:
-    if not lam:
-        return {EMPTY: Fraction(1)}
-    return _dict_mul(_hn_p(lam[0]), _h_p(_wrap(lam[1:])))
-
-
-@lru_cache(maxsize=None)
-def _e_p(lam: Partition) -> _PDict:
-    if not lam:
-        return {EMPTY: Fraction(1)}
-    return _dict_mul(_en_p(lam[0]), _e_p(_wrap(lam[1:])))
-
-
 def _jt_dp(seq: tuple[int, ...]) -> _PDict:
     """det|h_{seq_j - j + i}| for 1 <= i, j <= len(seq), by Laplace expansion
     along the last used row with memoization over column subsets."""
@@ -329,7 +284,7 @@ def _jt_dp(seq: tuple[int, ...]) -> _PDict:
             if idx == 0:
                 _dict_add(total, sub, sign)
             else:
-                _dict_add(total, _dict_mul(_hn_p(idx), sub), sign)
+                _dict_add(total, _dict_mul(_basis_p("h", _wrap((idx,))), sub), sign)
         dets[mask] = total
     return dets[(1 << size) - 1]
 
@@ -343,7 +298,6 @@ def jacobi_trudi(seq: Iterable[int]) -> "SymFunc":
     return SymFunc._raw(_jt_dp(tuple(seq)))
 
 
-@lru_cache(maxsize=None)
 def _s_p(lam: Partition) -> _PDict:
     """Schur function: <s_lam, p_mu> is the character chi^lam(mu), by the
     Murnaghan-Nakayama rule on beta-sets.  Bit b of a mask marks a first
@@ -394,7 +348,6 @@ def _p_h(mu: Partition) -> dict:
     return {nu: sign * n * r_coefficient(nu) // len(nu) for nu in partitions_of(n)}
 
 
-@lru_cache(maxsize=None)
 def _m_p(lam: Partition) -> _PDict:
     """Monomial symmetric function: <m_lam, p_mu> = [h_lam] p_mu, the
     h-dual of m, so the p_mu coordinate is that integer over z_mu."""
@@ -404,23 +357,24 @@ def _m_p(lam: Partition) -> _PDict:
 
 
 @lru_cache(maxsize=None)
-def _f_p(lam: Partition) -> _PDict:
-    return {mu: c * _omega_sign(mu) for mu, c in _m_p(lam).items()}
-
-
 def _basis_p(b: str, lam: Partition) -> _PDict:
+    """b_lam in power-sum coordinates: the one cached conversion, shared by
+    every caller, so no caller may write into the dict it returns.  A plain
+    tuple hits the same entry as its Partition, so the p key is rebuilt."""
     if b == "p":
-        return {lam: Fraction(1)}
+        return {Partition(lam): Fraction(1)}
     if b == "h":
-        return _h_p(lam)
-    if b == "e":
-        return _e_p(lam)
+        if len(lam) > 1:
+            return _dict_mul(_basis_p("h", _wrap(lam[:1])), _basis_p("h", _wrap(lam[1:])))
+        # h_n = sum over mu |- n of p_mu / z_mu (h_0 = 1)
+        return {mu: Fraction(1, z_value(mu)) for mu in partitions_of(sum(lam))}
+    if b in ("e", "f"):
+        flip = _basis_p("h" if b == "e" else "m", lam)
+        return {mu: c * _omega_sign(mu) for mu, c in flip.items()}
     if b == "s":
         return _s_p(lam)
     if b == "m":
         return _m_p(lam)
-    if b == "f":
-        return _f_p(lam)
     raise ValueError(f"unknown basis {b!r}; expected one of {BASES}")
 
 
@@ -448,16 +402,20 @@ def omega(g: SymFunc) -> SymFunc:
 
 
 def skew(g: SymFunc, target: SymFunc) -> SymFunc:
-    """Apply g^perp, the Hall-adjoint of multiplication by g, to ``target``."""
+    """Apply g^perp, the Hall-adjoint of multiplication by g, to ``target``:
+    p_lam^perp p_mu = (z_mu / z_nu) p_nu with nu = mu minus the parts of lam,
+    and 0 when mu lacks some part of lam."""
     out: _PDict = {}
     for lam, c in g._terms.items():
-        cur = target._terms
-        for k in lam:
-            cur = _dict_skew_pk(k, cur)
-            if not cur:
-                break
-        if cur:
-            _dict_add(out, cur, c)
+        for mu, d in target._terms.items():
+            nu = remove_parts(mu, lam)
+            if nu is None:
+                continue
+            v = out.get(nu, 0) + c * d * (z_value(mu) // z_value(nu))
+            if v:
+                out[nu] = v
+            else:
+                del out[nu]
     return SymFunc._raw(out)
 
 
@@ -499,15 +457,17 @@ def r_coefficient(mu: Partition) -> int:
     return -num if (sum(mu) - len(mu)) % 2 else num
 
 
+def _row(n: int) -> Partition:
+    return _wrap((n,)) if n else EMPTY
+
+
 def hn(n: int) -> SymFunc:
-    return SymFunc._raw(_hn_p(n))
+    return SymFunc._raw(_basis_p("h", _row(n)))
 
 
 def en(n: int) -> SymFunc:
-    return SymFunc._raw(_en_p(n))
+    return SymFunc._raw(_basis_p("e", _row(n)))
 
 
 def pn(n: int) -> SymFunc:
-    if n == 0:
-        return SymFunc.one()
-    return SymFunc._raw({_wrap((n,)): Fraction(1)})
+    return SymFunc._raw(_basis_p("p", _row(n)))

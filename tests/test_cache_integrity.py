@@ -6,28 +6,21 @@ same degrees, and require every value to come out unchanged.
 """
 
 from symfunc import ring
-from symfunc.partitions import partitions_of
+from symfunc.partitions import partitions_of, partitions_upto
 from symfunc.ring import BASES, basis_element, expand, inner_product, omega, skew
 from symfunc.tableaux import bounded_height_pairs
 from symfunc.vertex import OPERATORS, OperatorSpec, apply_operator
 
 DEGREE = 8
 
-# Conversions cached per partition, and per degree n.
-PARTITION_CACHES = ("_h_p", "_e_p", "_s_p", "_m_p", "_f_p", "_p_h")
-DEGREE_CACHES = ("_hn_p", "_en_p")
-
 
 def _cached_values():
-    for name in PARTITION_CACHES:
-        fn = getattr(ring, name)
-        for d in range(DEGREE + 1):
-            for lam in partitions_of(d):
-                yield (name, lam), fn(lam)
-    for name in DEGREE_CACHES:
-        fn = getattr(ring, name)
-        for n in range(DEGREE + 1):
-            yield (name, n), fn(n)
+    """The one conversion memo, every basis at every shape up to DEGREE, and
+    the integer p -> h table behind it."""
+    for lam in partitions_upto(DEGREE):
+        for b in BASES:
+            yield (b, lam), ring._basis_p(b, lam)
+        yield ("_p_h", lam), ring._p_h(lam)
 
 
 def _fingerprints():

@@ -7,15 +7,12 @@ import threading
 
 from symfunc import ring, vertex
 from symfunc.partitions import partitions_of, partitions_upto
-from symfunc.ring import basis_element, hn
+from symfunc.ring import BASES, basis_element, hn
 
 DEGREE = 7
 THREADS = 8  # more threads than cores, so fills interleave
 ROUNDS = 3  # each round is one chance for a racy fill to show
 
-# Conversions cached per partition, and per degree n.
-PARTITION_CACHES = ("_h_p", "_e_p", "_s_p", "_m_p", "_f_p", "_p_h")
-DEGREE_CACHES = ("_hn_p", "_en_p")
 ALL_CACHES = [fn for fn in vars(ring).values() if hasattr(fn, "cache_clear")]
 ALL_CACHES.append(vertex._rs_rows_on_schur)
 
@@ -31,12 +28,10 @@ def _cache_state():
     same way in both states."""
     sizes = [fn.cache_info().currsize for fn in ALL_CACHES]
     values = {}
-    for name in PARTITION_CACHES:
-        for lam in partitions_upto(DEGREE):
-            values[name, lam] = dict(getattr(ring, name)(lam))
-    for name in DEGREE_CACHES:
-        for n in range(DEGREE + 1):
-            values[name, n] = dict(getattr(ring, name)(n))
+    for lam in partitions_upto(DEGREE):
+        for b in BASES:
+            values[b, lam] = dict(ring._basis_p(b, lam))
+        values["_p_h", lam] = dict(ring._p_h(lam))
     return sizes, values
 
 

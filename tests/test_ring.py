@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symfunc import ring
 from symfunc.partitions import Partition, conjugate, partitions_of, z_value
 from symfunc.ring import (
     BASES,
@@ -77,6 +78,32 @@ def test_basis_element_examples():
     assert dict(p31.items()) == {P((3, 1)): 1}
 
 
+def _literal_row(n, sign):
+    # sum over mu |- n of sign(mu) p_mu / z_mu
+    return SymFunc({mu: Fraction(sign(mu), z_value(mu)) for mu in partitions_of(n)})
+
+
+def test_h_and_e_equal_their_literal_sums():
+    # h_n = sum p_mu / z_mu and e_n = sum (-1)^{n - l(mu)} p_mu / z_mu, and
+    # e_lam as the product of its rows: a route to e that avoids omega.
+    e_rows = [_literal_row(n, lambda mu: -1 if (sum(mu) - len(mu)) % 2 else 1) for n in range(13)]
+    for n in range(13):
+        assert hn(n) == _literal_row(n, lambda mu: 1)
+        assert en(n) == e_rows[n]
+    for lam in all_parts_upto(8):
+        product = SymFunc.one()
+        for part in lam:
+            product = product * e_rows[part]
+        assert basis_element("e", lam) == product, lam
+
+
+def test_p_memo_keys_are_partitions():
+    # A plain tuple fills the same memo entry as its Partition.
+    ring._basis_p.cache_clear()
+    BasisExpansion("p", {(3, 1): Fraction(1)}).to_symfunc()
+    assert repr(basis_element("p", P((3, 1)))) == "p[3,1]"
+
+
 def test_basis_element_rejects_bad_basis():
     with pytest.raises(ValueError):
         basis_element("q", P((1,)))
@@ -112,6 +139,9 @@ def test_skew_examples():
     assert skew(hn(1), basis_element("m", P((2, 1)))) == basis_element("m", P((2,)))
     assert skew(pn(2), basis_element("p", P((2, 2)))) == 4 * pn(2)
     assert skew(pn(3), hn(2)).is_zero
+    # z_[2,2,1,1] / z_[2,1] = 16 / 2: p_1^perp then p_2^perp give 2 * 4
+    p21 = basis_element("p", P((2, 1)))
+    assert skew(p21, basis_element("p", P((2, 2, 1, 1)))) == 8 * p21
 
 
 def test_r_coefficient_examples():
