@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 Composition = tuple[int, ...]
@@ -161,9 +162,21 @@ def straighten(seq: Sequence[int]) -> StraightenResult:
 def partitions_of(
     n: int, max_length: Optional[int] = None, max_part: Optional[int] = None
 ) -> Iterator[Partition]:
-    """All partitions of ``n`` within the bounds, in decreasing lexicographic order."""
+    """All partitions of ``n`` within the bounds, in decreasing lexicographic
+    order.  Without bounds this walks one tuple per degree, built once."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if max_length is None and max_part is None:
+        return iter(_all_partitions(n))
+    return _walk(n, max_length, max_part)
+
+
+@lru_cache(maxsize=None)
+def _all_partitions(n: int) -> tuple[Partition, ...]:
+    return tuple(_walk(n, None, None))
+
+
+def _walk(n: int, max_length: Optional[int], max_part: Optional[int]) -> Iterator[Partition]:
     cap = n if max_part is None else min(max_part, n)
     room = n if max_length is None else max_length
 

@@ -1,11 +1,15 @@
 """The graded ring of symmetric functions over the rationals.
 
-Every symmetric function is stored in power-sum coordinates: a SymFunc is a
-finite map {partition -> nonzero Fraction} representing sum c_lam * p_lam.
-In these coordinates the product is a multiset union of indices, the Hall
-inner product is diagonal (<p_lam, p_mu> = z_lam * delta), the involution
-omega is a sign flip, and skewing by p_lam deletes the parts of lam from
-each index mu, scaled by z_mu / z_{mu - lam}, so all operations are exact.
+Every symmetric function is stored in power-sum coordinates, as integer
+numerators over one shared denominator: a SymFunc is a finite map
+{partition -> nonzero int} with a denominator D >= 1, representing
+sum (c_lam / D) * p_lam, always reduced so that D and the numerators have
+no common factor; that form is canonical.  In these coordinates the product
+is a multiset union of indices, the Hall inner product is diagonal
+(<p_lam, p_mu> = z_lam * delta), the involution omega is a sign flip, and
+skewing by p_lam deletes the parts of lam from each index mu, scaled by the
+integer z_mu / z_{mu - lam}, so every operation runs on integers and is
+exact.  Coefficients leave the ring as Fractions.
 
 Six classical bases are supported, named by single letters:
 
@@ -13,14 +17,14 @@ Six classical bases are supported, named by single letters:
   s  Schur                 m  monomial               f  forgotten
 
 h is multiplicative, with h_n = sum_{mu |- n} p_mu / z_mu; e = omega h and
-f = omega m.  The p_mu coordinates of s and m are integers over z_mu: for
-s_lam the character chi^lam(mu), by the Murnaghan-Nakayama rule; for m_lam
-the h_lam coordinate of p_mu, since m is dual to h.  The Jacobi-Trudi
-determinant over h stays as an independent route to s and to signed
-sequences.  One memo, keyed by basis and partition, holds every conversion,
-so repeated use is cheap.  SymFunc values are immutable once built and all
-functions are pure; concurrent readers are safe and cache refills are
-idempotent.
+f = omega m.  z_mu divides n! for mu |- n (n!/z_mu is the size of a class of
+S_n), so h_n, s_lam and m_lam have integer numerators over n!: for s_lam the
+character chi^lam(mu), by the Murnaghan-Nakayama rule; for m_lam the h_lam
+coordinate of p_mu, since m is dual to h.  The Jacobi-Trudi determinant over
+h stays as an independent route to s and to signed sequences.  One memo,
+keyed by basis and partition, holds every conversion, so repeated use is
+cheap.  SymFunc values are immutable once built and all functions are pure;
+concurrent readers are safe and cache refills are idempotent.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .partitions import (
@@ -47,16 +52,14 @@ BASES = ("p", "m", "e", "h", "s", "f")
 # is read off by expand directly).
 DUAL_BASIS = {"m": "h", "h": "m", "e": "f", "f": "e", "s": "s"}
 
-_PDict = dict  # {Partition: Fraction}, no zero values
+_IntDict = dict  # {Partition: int}, no zero values
 
 
 def _omega_sign(lam: tuple[int, ...]) -> int:
     return -1 if (sum(lam) - len(lam)) % 2 else 1
 
 
-def _dict_add(dst: _PDict, src: Mapping, scale: ScalarLike = 1) -> None:
-    if not scale:
-        return
+def _dict_add(dst: _IntDict, src: Mapping, scale: int) -> None:
     unit = scale == 1
     for lam, c in src.items():
         v = dst.get(lam, 0) + (c if unit else c * scale)
@@ -66,8 +69,8 @@ def _dict_add(dst: _PDict, src: Mapping, scale: ScalarLike = 1) -> None:
             dst.pop(lam, None)
 
 
-def _dict_mul(a: Mapping, b: Mapping) -> _PDict:
-    out: _PDict = {}
+def _dict_mul(a: Mapping, b: Mapping) -> _IntDict:
+    out: _IntDict = {}
     for lam, ca in a.items():
         for mu, cb in b.items():
             key = _wrap(tuple(sorted(lam + mu, reverse=True)))
@@ -79,36 +82,38 @@ def _dict_mul(a: Mapping, b: Mapping) -> _PDict:
     return out
 
 
-def _dict_pair(a: Mapping, b: Mapping) -> Fraction:
-    if len(a) > len(b):
-        a, b = b, a
-    total = Fraction(0)
-    for lam, ca in a.items():
-        cb = b.get(lam)
-        if cb:
-            total += ca * cb * z_value(lam)
-    return total
-
-
 class SymFunc:
     """A symmetric function in power-sum coordinates.  Immutable by contract."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Partition, ScalarLike] | None = None):
-        clean: _PDict = {}
-        if terms:
-            for lam, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[Partition(lam)] = c
-        self._terms = clean
+        coeffs = {}
+        for lam, c in (terms or {}).items():
+            if c := Fraction(c):
+                coeffs[Partition(lam)] = c
+        # over the lcm of the reduced denominators no common factor is left
+        den = lcm(1, *(c.denominator for c in coeffs.values()))
+        self._terms = {lam: c.numerator * (den // c.denominator) for lam, c in coeffs.items()}
+        self._den = den
 
     @classmethod
-    def _raw(cls, terms: _PDict) -> "SymFunc":
+    def _raw(cls, terms: _IntDict, den: int = 1) -> "SymFunc":
+        """Wrap numerators over ``den`` that are already in lowest terms."""
         self = object.__new__(cls)
         self._terms = terms
+        self._den = den
         return self
+
+    @classmethod
+    def _reduced(cls, terms: _IntDict, den: int) -> "SymFunc":
+        """Numerators over ``den`` > 0, brought to lowest terms."""
+        if den != 1:
+            common = gcd(den, *terms.values())  # den itself when there are no terms
+            if common != 1:
+                terms = {lam: c // common for lam, c in terms.items()}
+                den //= common
+        return cls._raw(terms, den)
 
     @classmethod
     def zero(cls) -> "SymFunc":
@@ -116,25 +121,30 @@ class SymFunc:
 
     @classmethod
     def one(cls) -> "SymFunc":
-        return cls._raw({EMPTY: Fraction(1)})
+        return cls._raw({EMPTY: 1})
 
     @classmethod
     def sum(cls, terms: Iterable["SymFunc"]) -> "SymFunc":
-        """The sum of ``terms``, accumulated in place into one dict, which
-        starts as a copy of a term's dict so that no shared dict is written."""
-        out: _PDict = {}
-        for term in terms:
-            if out:
-                _dict_add(out, term._terms)
-            else:
-                out = dict(term._terms)
-        return cls._raw(out)
+        """The sum of ``terms`` over the lcm of their denominators, accumulated
+        in place into one dict, which starts as a copy of a term's dict so
+        that no shared dict is written."""
+        terms = [t for t in terms if t._terms]
+        if len(terms) < 2:
+            return terms[0] if terms else cls.zero()
+        den = lcm(*(t._den for t in terms))
+        first = terms[0]
+        scale = den // first._den
+        out = dict(first._terms) if scale == 1 else {lam: c * scale for lam, c in first._terms.items()}
+        for term in terms[1:]:
+            _dict_add(out, term._terms, den // term._den)
+        return cls._reduced(out, den)
 
     def items(self) -> Iterator[tuple[Partition, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((lam, Fraction(c, den)) for lam, c in self._terms.items())
 
     def coefficient(self, lam: Iterable[int]) -> Fraction:
-        return self._terms.get(Partition(lam), Fraction(0))
+        return Fraction(self._terms.get(Partition(lam), 0), self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -148,27 +158,24 @@ class SymFunc:
         return {sum(lam) for lam in self._terms}
 
     def homogeneous_part(self, d: int) -> "SymFunc":
-        return SymFunc._raw({lam: c for lam, c in self._terms.items() if sum(lam) == d})
+        part = {lam: c for lam, c in self._terms.items() if sum(lam) == d}
+        return SymFunc._reduced(part, self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get(EMPTY, Fraction(0))
+        return Fraction(self._terms.get(EMPTY, 0), self._den)
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
-        out = dict(self._terms)
-        _dict_add(out, other._terms)
-        return SymFunc._raw(out)
+        return SymFunc.sum((self, other))
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
-        out = dict(self._terms)
-        _dict_add(out, other._terms, Fraction(-1))
-        return SymFunc._raw(out)
+        return SymFunc.sum((self, -other))
 
     def __neg__(self) -> "SymFunc":
-        return SymFunc._raw({lam: -c for lam, c in self._terms.items()})
+        return SymFunc._raw({lam: -c for lam, c in self._terms.items()}, self._den)
 
     def __mul__(self, other: Union["SymFunc", ScalarLike]) -> "SymFunc":
         if isinstance(other, SymFunc):
-            return SymFunc._raw(_dict_mul(self._terms, other._terms))
+            return _product(self, other)
         if other == 1:  # the operator sums scale by signs; SymFunc is immutable
             return self
         if other == -1:
@@ -176,7 +183,9 @@ class SymFunc:
         c = Fraction(other)
         if not c:
             return SymFunc.zero()
-        return SymFunc._raw({lam: v * c for lam, v in self._terms.items()})
+        num = c.numerator
+        terms = {lam: v * num for lam, v in self._terms.items()}
+        return SymFunc._reduced(terms, self._den * c.denominator)
 
     def __rmul__(self, other: ScalarLike) -> "SymFunc":
         return self.__mul__(other)
@@ -191,17 +200,21 @@ class SymFunc:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SymFunc):
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __repr__(self) -> str:
         return expand(self, "p").to_text() if self._terms else "0"
+
+
+def _product(a: SymFunc, b: SymFunc) -> SymFunc:
+    return SymFunc._reduced(_dict_mul(a._terms, b._terms), a._den * b._den)
 
 
 def term_sort_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
@@ -220,10 +233,7 @@ class BasisExpansion:
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
     def to_symfunc(self) -> SymFunc:
-        out: _PDict = {}
-        for lam, c in self.terms.items():
-            _dict_add(out, _basis_p(self.basis, lam), c)
-        return SymFunc._raw(out)
+        return SymFunc.sum(c * _basis_p(self.basis, lam) for lam, c in self.terms.items())
 
     def to_text(self) -> str:
         """Render in the expression grammar, e.g. ``3/2*s[2,1] - p[3]``."""
@@ -257,20 +267,18 @@ class BasisExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Basis conversions into power-sum coordinates (raw dicts, cached & shared).
+# Basis conversions into power-sum coordinates (cached & shared).
 # ---------------------------------------------------------------------------
 
 
-def _jt_dp(seq: tuple[int, ...]) -> _PDict:
+def _jt_dp(seq: tuple[int, ...]) -> SymFunc:
     """det|h_{seq_j - j + i}| for 1 <= i, j <= len(seq), by Laplace expansion
     along the last used row with memoization over column subsets."""
     size = len(seq)
-    if size == 0:
-        return {EMPTY: Fraction(1)}
-    dets: dict[int, _PDict] = {0: {EMPTY: Fraction(1)}}
+    dets: dict[int, SymFunc] = {0: SymFunc.one()}
     for mask in sorted(range(1, 1 << size), key=lambda m: m.bit_count()):
         rows = mask.bit_count()
-        total: _PDict = {}
+        terms = []
         rank = 0
         for j in range(size):
             if not (mask >> j) & 1:
@@ -280,12 +288,10 @@ def _jt_dp(seq: tuple[int, ...]) -> _PDict:
             if idx < 0:
                 continue
             sub = dets[mask ^ (1 << j)]
-            sign = Fraction(1 if (rows + rank) % 2 == 0 else -1)
-            if idx == 0:
-                _dict_add(total, sub, sign)
-            else:
-                _dict_add(total, _dict_mul(_basis_p("h", _wrap((idx,))), sub), sign)
-        dets[mask] = total
+            if idx:
+                sub = _product(_basis_p("h", _wrap((idx,))), sub)
+            terms.append(sub if (rows + rank) % 2 == 0 else -sub)
+        dets[mask] = SymFunc.sum(terms)
     return dets[(1 << size) - 1]
 
 
@@ -295,10 +301,18 @@ def jacobi_trudi(seq: Iterable[int]) -> "SymFunc":
     On a partition this is the Schur function; an arbitrary integer sequence
     straightens to a signed Schur function or vanishes.
     """
-    return SymFunc._raw(_jt_dp(tuple(seq)))
+    return _jt_dp(tuple(seq))
 
 
-def _s_p(lam: Partition) -> _PDict:
+def _class_sum(n: int, coordinate) -> SymFunc:
+    """sum over mu |- n of coordinate(mu) p_mu / z_mu, for integer coordinates,
+    as numerators coordinate(mu) * (n! / z_mu) over n!."""
+    nf = factorial(n)
+    terms = {mu: c * (nf // z_value(mu)) for mu in partitions_of(n) if (c := coordinate(mu))}
+    return SymFunc._reduced(terms, nf)
+
+
+def _s_p(lam: Partition) -> SymFunc:
     """Schur function: <s_lam, p_mu> is the character chi^lam(mu), by the
     Murnaghan-Nakayama rule on beta-sets.  Bit b of a mask marks a first
     column hook length lam_i + l - i; removing a rim hook of size r moves a
@@ -327,9 +341,7 @@ def _s_p(lam: Partition) -> _PDict:
 
     top = len(lam) - 1
     start = sum(1 << (p + top - j) for j, p in enumerate(lam))
-    return {
-        mu: Fraction(c, z_value(mu)) for mu in partitions_of(sum(lam)) if (c := chi(start, mu))
-    }
+    return _class_sum(sum(lam), lambda mu: chi(start, mu))
 
 
 @lru_cache(maxsize=None)
@@ -348,29 +360,26 @@ def _p_h(mu: Partition) -> dict:
     return {nu: sign * n * r_coefficient(nu) // len(nu) for nu in partitions_of(n)}
 
 
-def _m_p(lam: Partition) -> _PDict:
+def _m_p(lam: Partition) -> SymFunc:
     """Monomial symmetric function: <m_lam, p_mu> = [h_lam] p_mu, the
     h-dual of m, so the p_mu coordinate is that integer over z_mu."""
-    return {
-        mu: Fraction(c, z_value(mu)) for mu in partitions_of(sum(lam)) if (c := _p_h(mu).get(lam))
-    }
+    return _class_sum(sum(lam), lambda mu: _p_h(mu).get(lam))
 
 
 @lru_cache(maxsize=None)
-def _basis_p(b: str, lam: Partition) -> _PDict:
+def _basis_p(b: str, lam: Partition) -> SymFunc:
     """b_lam in power-sum coordinates: the one cached conversion, shared by
-    every caller, so no caller may write into the dict it returns.  A plain
+    every caller, so no caller may write into the value it returns.  A plain
     tuple hits the same entry as its Partition, so the p key is rebuilt."""
     if b == "p":
-        return {Partition(lam): Fraction(1)}
+        return SymFunc._raw({Partition(lam): 1})
     if b == "h":
         if len(lam) > 1:
-            return _dict_mul(_basis_p("h", _wrap(lam[:1])), _basis_p("h", _wrap(lam[1:])))
+            return _product(_basis_p("h", _wrap(lam[:1])), _basis_p("h", _wrap(lam[1:])))
         # h_n = sum over mu |- n of p_mu / z_mu (h_0 = 1)
-        return {mu: Fraction(1, z_value(mu)) for mu in partitions_of(sum(lam))}
+        return _class_sum(sum(lam), lambda mu: 1)
     if b in ("e", "f"):
-        flip = _basis_p("h" if b == "e" else "m", lam)
-        return {mu: c * _omega_sign(mu) for mu, c in flip.items()}
+        return omega(_basis_p("h" if b == "e" else "m", lam))
     if b == "s":
         return _s_p(lam)
     if b == "m":
@@ -385,12 +394,14 @@ def _basis_p(b: str, lam: Partition) -> _PDict:
 
 def basis_element(b: str, lam: Iterable[int]) -> SymFunc:
     """The basis element b_lam as a SymFunc (power-sum coordinates)."""
-    return SymFunc._raw(_basis_p(b, Partition(lam)))
+    return _basis_p(b, Partition(lam))
 
 
 def inner_product(g1: SymFunc, g2: SymFunc) -> Fraction:
     """Hall inner product, diagonal in power-sum coordinates."""
-    return _dict_pair(g1._terms, g2._terms)
+    small, big = sorted((g1._terms, g2._terms), key=len)
+    total = sum(c * big[lam] * z_value(lam) for lam, c in small.items() if lam in big)
+    return Fraction(total, g1._den * g2._den)
 
 
 def omega(g: SymFunc) -> SymFunc:
@@ -398,14 +409,14 @@ def omega(g: SymFunc) -> SymFunc:
 
     Consequently omega h = e, omega m = f and omega s_lam = s_{lam'}.
     """
-    return SymFunc._raw({lam: c * _omega_sign(lam) for lam, c in g._terms.items()})
+    return SymFunc._raw({lam: c * _omega_sign(lam) for lam, c in g._terms.items()}, g._den)
 
 
 def skew(g: SymFunc, target: SymFunc) -> SymFunc:
     """Apply g^perp, the Hall-adjoint of multiplication by g, to ``target``:
     p_lam^perp p_mu = (z_mu / z_nu) p_nu with nu = mu minus the parts of lam,
     and 0 when mu lacks some part of lam."""
-    out: _PDict = {}
+    out: _IntDict = {}
     for lam, c in g._terms.items():
         for mu, d in target._terms.items():
             nu = remove_parts(mu, lam)
@@ -416,7 +427,7 @@ def skew(g: SymFunc, target: SymFunc) -> SymFunc:
                 out[nu] = v
             else:
                 del out[nu]
-    return SymFunc._raw(out)
+    return SymFunc._reduced(out, g._den * target._den)
 
 
 def expand(g: SymFunc, b: str) -> BasisExpansion:
@@ -424,15 +435,18 @@ def expand(g: SymFunc, b: str) -> BasisExpansion:
     if b not in BASES:
         raise ValueError(f"unknown basis {b!r}; expected one of {BASES}")
     if b == "p":
-        return BasisExpansion("p", dict(g._terms))
+        return BasisExpansion("p", dict(g.items()))
     dual = DUAL_BASIS[b]
-    terms: _PDict = {}
+    terms: dict[Partition, Fraction] = {}
     for d in sorted(g.degrees()):
-        component = {lam: c for lam, c in g._terms.items() if sum(lam) == d}
+        # the pairing <g_d, dual_lam> is sum_mu c_mu z_mu d_mu over g's denominator
+        weighted = {mu: c * z_value(mu) for mu, c in g._terms.items() if sum(mu) == d}
         for lam in partitions_of(d):
-            c = _dict_pair(component, _basis_p(dual, lam))
-            if c:
-                terms[lam] = c
+            other = _basis_p(dual, lam)
+            small, big = sorted((weighted, other._terms), key=len)
+            total = sum(c * big.get(mu, 0) for mu, c in small.items())
+            if total:
+                terms[lam] = Fraction(total, g._den * other._den)
     return BasisExpansion(b, terms)
 
 
@@ -462,12 +476,12 @@ def _row(n: int) -> Partition:
 
 
 def hn(n: int) -> SymFunc:
-    return SymFunc._raw(_basis_p("h", _row(n)))
+    return _basis_p("h", _row(n))
 
 
 def en(n: int) -> SymFunc:
-    return SymFunc._raw(_basis_p("e", _row(n)))
+    return _basis_p("e", _row(n))
 
 
 def pn(n: int) -> SymFunc:
-    return SymFunc._raw(_basis_p("p", _row(n)))
+    return _basis_p("p", _row(n))

@@ -1,4 +1,4 @@
-"""The cached basis conversions hand their dicts to every caller.
+"""The cached basis conversions hand their values to every caller.
 
 A caller that wrote into one would change every later result that reads
 it, so fingerprint each cached value, run the public operations over the
@@ -7,7 +7,7 @@ same degrees, and require every value to come out unchanged.
 
 from symfunc import ring
 from symfunc.partitions import partitions_of, partitions_upto
-from symfunc.ring import BASES, basis_element, expand, inner_product, omega, skew
+from symfunc.ring import BASES, SymFunc, basis_element, expand, inner_product, omega, skew
 from symfunc.tableaux import bounded_height_pairs
 from symfunc.vertex import OPERATORS, OperatorSpec, apply_operator
 
@@ -23,8 +23,14 @@ def _cached_values():
         yield ("_p_h", lam), ring._p_h(lam)
 
 
+def _fingerprint(value):
+    if isinstance(value, SymFunc):
+        return (id(value), sorted(value._terms.items()), value._den)
+    return (id(value), sorted(value.items()))
+
+
 def _fingerprints():
-    return {key: (id(value), sorted(value.items())) for key, value in _cached_values()}
+    return {key: _fingerprint(value) for key, value in _cached_values()}
 
 
 def _sweep():

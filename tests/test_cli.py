@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -186,3 +187,19 @@ def test_count_verbose_output_is_pinned(capsys):
         assert err == ""
         out += text
     assert out == (Path(__file__).parent / "count_verbose.txt").read_text()
+
+
+def test_ring_outputs_are_pinned(capsys):
+    # Each "$ symfunc ..." line of the pinned file and the stdout it printed:
+    # expansions into all six bases (text and JSON), every --op, inner
+    # products and det counts, byte for byte.
+    pinned = (Path(__file__).parent / "ring_outputs.txt").read_text()
+    out = ""
+    for line in pinned.splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])
+            assert argv[0] == "symfunc"
+            code, text, err = run_cli(capsys, *argv[1:])
+            assert (code, err) == (0, ""), line
+            out += line + "\n" + text
+    assert out == pinned

@@ -30,7 +30,8 @@ def _cache_state():
     values = {}
     for lam in partitions_upto(DEGREE):
         for b in BASES:
-            values[b, lam] = dict(ring._basis_p(b, lam))
+            value = ring._basis_p(b, lam)
+            values[b, lam] = (dict(value._terms), value._den)
         values["_p_h", lam] = dict(ring._p_h(lam))
     return sizes, values
 

@@ -71,7 +71,7 @@ def test_conversion_random(b, lam):
 
 
 @given(parts_strategy, parts_strategy)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_realization_multiplicative(lam, mu):
     v = min(max(sum(lam) + sum(mu), 1), 6)
     g1 = basis_element("h", lam)

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -287,3 +289,95 @@ def test_monomial_spot_check_degree_15():
     for mu in partitions_of(15):
         assert inner_product(m, basis_element("h", mu)) == (1 if mu == lam else 0), mu
     assert basis_element("m", P((1,) * 15)) == en(15)
+
+
+# --- a second route for the ring operations ----------------------------------
+
+
+def _literal_z(lam):
+    out = 1
+    for part, mult in Counter(lam).items():
+        out *= part**mult * math.factorial(mult)
+    return out
+
+
+def _literal_mul(a, b):
+    out = {}
+    for lam, x in a.items():
+        for mu, y in b.items():
+            key = P(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, 0) + x * y
+    return {lam: c for lam, c in out.items() if c}
+
+
+def _literal_skew(a, b):
+    # p_lam^perp p_mu = (z_mu / z_nu) p_nu for nu = mu minus the parts of lam
+    out = {}
+    for lam, x in a.items():
+        for mu, y in b.items():
+            rest = Counter(mu)
+            rest.subtract(lam)
+            if min(rest.values(), default=0) < 0:
+                continue
+            nu = P(sorted(rest.elements(), reverse=True))
+            out[nu] = out.get(nu, 0) + x * y * Fraction(_literal_z(mu), _literal_z(nu))
+    return {lam: c for lam, c in out.items() if c}
+
+
+def _literal_pair(a, b):
+    return sum((x * b[lam] * _literal_z(lam) for lam, x in a.items() if lam in b), Fraction(0))
+
+
+def _literal_omega(a):
+    return {lam: -c if (sum(lam) - len(lam)) % 2 else c for lam, c in a.items()}
+
+
+def _canonical(g):
+    # numerators over one denominator in lowest terms, no zero numerator
+    return (
+        g._den >= 1
+        and all(g._terms.values())
+        and math.gcd(g._den, *g._terms.values()) == 1
+    )
+
+
+def _coeffs(g):
+    assert _canonical(g)
+    return dict(g.items())
+
+
+def test_operations_match_literal_fraction_formulas():
+    elements = [(b, lam) for b in BASES for lam in all_parts_upto(6)]
+    coeffs = {key: _coeffs(basis_element(*key)) for key in elements}
+    for key, g in coeffs.items():
+        assert _coeffs(omega(basis_element(*key))) == _literal_omega(g), key
+    for k1 in elements:
+        f, a = basis_element(*k1), coeffs[k1]
+        for k2 in elements:
+            if sum(k1[1]) + sum(k2[1]) > 6:
+                continue
+            g, b = basis_element(*k2), coeffs[k2]
+            assert _coeffs(f * g) == _literal_mul(a, b), (k1, k2)
+            assert _coeffs(skew(f, g)) == _literal_skew(a, b), (k1, k2)
+            assert _coeffs(skew(g, f)) == _literal_skew(b, a), (k1, k2)
+            assert inner_product(f, g) == _literal_pair(a, b), (k1, k2)
+            assert _coeffs(f - g) == {
+                lam: c for lam in a.keys() | b.keys() if (c := a.get(lam, 0) - b.get(lam, 0))
+            }, (k1, k2)
+
+
+def test_equal_functions_hash_equal():
+    half = Fraction(1, 2)
+    pairs = [
+        (SymFunc({(1,): half}) * 2, pn(1)),
+        (SymFunc({(1, 1): half, (2,): -half}), en(2)),
+        (SymFunc({(1, 1): Fraction(3, 6), (2,): Fraction(2, 4)}), hn(2)),
+        (hn(2) - en(2), pn(2)),
+        (Fraction(2, 3) * (hn(1) * Fraction(3, 4)), half * pn(1)),
+        (SymFunc({(2,): 0, (): Fraction(7, 7)}), SymFunc.one()),
+        (hn(3) - hn(3), SymFunc({})),
+    ]
+    for built, want in pairs:
+        assert _canonical(built) and _canonical(want)
+        assert built == want
+        assert hash(built) == hash(want)
