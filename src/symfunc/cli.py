@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from .expressions import parse_expression
@@ -110,7 +109,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "count":
             if args.n < 0 or args.k < 1:
                 parser.error("need --n >= 0 and --k >= 1")
-            print(bounded_height_pairs(args.n, args.k, args.method))
+            # a shape of n boxes has at most n rows, so heights past n count alike
+            print(bounded_height_pairs(args.n, min(args.k, max(args.n, 1)), args.method))
             if args.verbose:
                 terms = [
                     {"composition": list(s), "term": str(value)}
@@ -122,12 +122,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             if args.max_degree < 0:
                 parser.error("--max-degree must be non-negative")
-            bounds = Bounds.for_degree(args.max_degree)
-            if args.oracle:
-                # the full conclusive sweep: degree 6 in six variables
-                bounds = replace(bounds, oracle_degree=6, oracle_vars=6)
             names = args.suite if args.suite else list(SUITES)
-            ok = run_suites(names, bounds, sys.stdout)
+            ok = run_suites(names, Bounds(args.max_degree, oracle=args.oracle), sys.stdout)
             return 0 if ok else 1
 
     except ValueError as exc:  # ParseError is a ValueError

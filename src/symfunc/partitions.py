@@ -159,41 +159,36 @@ def straighten(seq: Sequence[int]) -> StraightenResult:
     return StraightenResult(-1 if inversions % 2 else 1, _wrap(lam))
 
 
-def partitions_of(
-    n: int, max_length: Optional[int] = None, max_part: Optional[int] = None
-) -> Iterator[Partition]:
-    """All partitions of ``n`` within the bounds, in decreasing lexicographic
-    order.  Without bounds this walks one tuple per degree, built once."""
+def partitions_of(n: int, max_length: Optional[int] = None) -> Iterator[Partition]:
+    """All partitions of ``n`` with at most ``max_length`` parts, in
+    decreasing lexicographic order.  Without a bound this walks one tuple per
+    degree, built once."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if max_length is None and max_part is None:
+    if max_length is None:
         return iter(_all_partitions(n))
-    return _walk(n, max_length, max_part)
+    return _walk(n, n, max_length, [])
 
 
 @lru_cache(maxsize=None)
 def _all_partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(_walk(n, None, None))
+    return tuple(_walk(n, n, n, []))
 
 
-def _walk(n: int, max_length: Optional[int], max_part: Optional[int]) -> Iterator[Partition]:
-    cap = n if max_part is None else min(max_part, n)
-    room = n if max_length is None else max_length
-
-    def rec(rest: int, cap: int, room: int, prefix: list[int]) -> Iterator[Partition]:
-        if rest == 0:
-            yield _wrap(tuple(prefix))
-            return
-        if room <= 0 or cap <= 0:
-            return
-        for first in range(min(cap, rest), 0, -1):
-            if rest - first > first * (room - 1):
-                continue
-            prefix.append(first)
-            yield from rec(rest - first, first, room - 1, prefix)
-            prefix.pop()
-
-    return rec(n, cap, room, [])
+def _walk(rest: int, cap: int, room: int, prefix: list[int]) -> Iterator[Partition]:
+    """Partitions of ``rest`` with parts at most ``cap`` and at most ``room``
+    of them, each after ``prefix``."""
+    if rest == 0:
+        yield _wrap(tuple(prefix))
+        return
+    if room <= 0 or cap <= 0:
+        return
+    for first in range(min(cap, rest), 0, -1):
+        if rest - first > first * (room - 1):
+            continue
+        prefix.append(first)
+        yield from _walk(rest - first, first, room - 1, prefix)
+        prefix.pop()
 
 
 def partitions_upto(n: int, max_length: Optional[int] = None) -> Iterator[Partition]:

@@ -22,20 +22,24 @@ Monomial = tuple[int, ...]
 
 
 class MultiPoly:
-    """A sparse polynomial in ``nvars`` variables over the rationals."""
+    """A sparse polynomial in ``nvars`` variables over the rationals.
+
+    Integral coefficients are kept as ``int``, so products of integral
+    polynomials run on integers; an ``int`` equals and hashes like the
+    ``Fraction`` of the same value, so equality stays exact."""
 
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction | int] | None = None):
         self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Fraction | int] = {}
         if terms:
             for mono, c in terms.items():
                 if len(mono) != nvars:
                     raise ValueError(f"exponent vector {mono} has wrong arity")
                 c = Fraction(c)
                 if c:
-                    clean[tuple(mono)] = c
+                    clean[tuple(mono)] = c.numerator if c.denominator == 1 else c
         self._terms = clean
 
     @classmethod
@@ -57,26 +61,24 @@ class MultiPoly:
         return self._terms.get(tuple(mono), Fraction(0))
 
     def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
-        out: dict[Monomial, Fraction] = {}
-        if isinstance(other, MultiPoly):
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(m1, m2))
-                    v = out.get(key, 0) + c1 * c2
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-        else:
+        if not isinstance(other, MultiPoly):
             c = Fraction(other)
-            if c:
-                out = {m: v * c for m, v in self._terms.items()}
+            return MultiPoly(self.nvars, {m: v * c for m, v in self._terms.items()})
+        out: dict[Monomial, Fraction | int] = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                key = tuple(a + b for a, b in zip(m1, m2))
+                v = out.get(key, 0) + c1 * c2
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
         return self._raw(self.nvars, out)
 
     __rmul__ = __mul__
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "MultiPoly":
+    def _raw(cls, nvars: int, terms: dict[Monomial, Fraction | int]) -> "MultiPoly":
         self = object.__new__(cls)
         self.nvars = nvars
         self._terms = terms
@@ -112,19 +114,19 @@ def _power_sum(n: int, v: int) -> MultiPoly:
     for i in range(v):
         mono = [0] * v
         mono[i] = n
-        terms[tuple(mono)] = Fraction(1)
+        terms[tuple(mono)] = 1
     return MultiPoly(v, terms)
 
 
 def _elementary(n: int, v: int) -> MultiPoly:
     if n == 0:
         return MultiPoly.one(v)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for subset in combinations(range(v), n):
         mono = [0] * v
         for i in subset:
             mono[i] = 1
-        terms[tuple(mono)] = Fraction(1)
+        terms[tuple(mono)] = 1
     return MultiPoly(v, terms)
 
 
@@ -161,7 +163,7 @@ def _monomial_orbit(lam: Partition, v: int) -> MultiPoly:
     if len(lam) > v:
         return MultiPoly.zero(v)
     padded = tuple(lam) + (0,) * (v - len(lam))
-    terms = {mono: Fraction(1) for mono in _distinct_permutations(padded)}
+    terms = {mono: 1 for mono in _distinct_permutations(padded)}
     return MultiPoly(v, terms)
 
 
@@ -175,7 +177,7 @@ def _schur_ssyt(lam: Partition, v: int) -> MultiPoly:
     rows = len(lam)
     tab = [[0] * lam[i] for i in range(rows)]
     cells = [(i, j) for i in range(rows) for j in range(lam[i])]
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
 
     def fill(idx: int) -> None:
         if idx == len(cells):
@@ -183,7 +185,7 @@ def _schur_ssyt(lam: Partition, v: int) -> MultiPoly:
             for i, j in cells:
                 mono[tab[i][j] - 1] += 1
             key = tuple(mono)
-            terms[key] = terms.get(key, Fraction(0)) + 1
+            terms[key] = terms.get(key, 0) + 1
         else:
             i, j = cells[idx]
             lo = 1
@@ -235,12 +237,13 @@ def realize(b: str, lam: Partition, v: int) -> MultiPoly:
 
 def realize_symfunc(g: SymFunc, v: int) -> MultiPoly:
     """Realize through power-sum coordinates: each p_lam becomes a product
-    of power sums in ``v`` variables."""
-    out: dict[Monomial, Fraction] = {}
-    for lam, c in g.items():
+    of power sums in ``v`` variables.  The sums run over g's integer
+    numerators, divided by its one denominator per monomial at the end."""
+    out: dict[Monomial, int] = {}
+    for lam, c in g._terms.items():
         for mono, x in _realize_p(lam, v).items():
             out[mono] = out.get(mono, 0) + x * c
-    return MultiPoly(v, out)
+    return MultiPoly(v, {mono: Fraction(c, g._den) for mono, c in out.items()})
 
 
 def first_mismatch(

@@ -2,8 +2,9 @@
 
 Every algebraic law the library promises is checked here on bounded index
 ranges, with exact equality everywhere.  The suites are pure functions of a
-Bounds value, so the command line can run them at quick defaults while the
-acceptance tests run them at full depth.
+Bounds value, and every range in it follows from one depth: the command
+line runs depth 4 by default (--max-degree), and the acceptance gate runs
+depth 8.
 
 Operator identities are verified on the power-sum basis elements of each
 degree: the checks are linear in the input, so equality on a spanning
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from fractions import Fraction
 from math import comb, factorial
@@ -51,40 +51,25 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
 class Bounds:
-    """Index ranges for the verification sweeps."""
+    """Index ranges for the verification sweeps, all derived from one depth
+    ``degree`` (the command line's --max-degree).  ``oracle`` runs the
+    polynomial-oracle sweep at its full size: degree 6 in six variables."""
 
-    degree: int = 4  # partition size for action laws and pairing tables
-    identity_degree: int = 4  # total degree for operator/adjointness identities
-    a_max: int = 2
-    k_max: int = 2
-    pairs_n: int = 8
-    pairs_k: int = 4
-    lemma_n: int = 5
-    lemma_k: int = 3
-    rsform_n: int = 4
-    rsform_k: int = 2
-    oracle_degree: int = 4
-    oracle_vars: int = 4
-
-    @classmethod
-    def for_degree(cls, d: int) -> "Bounds":
-        deep = d >= 6
-        return cls(
-            degree=d,
-            identity_degree=min(d, 6),
-            a_max=3 if deep else 2,
-            k_max=4 if deep else 2,
-            pairs_n=max(d + 2, 6),
-            pairs_k=5 if deep else 3,
-            lemma_n=min(d + 1, 8),
-            lemma_k=4 if deep else 3,
-            rsform_n=min(d, 6),
-            rsform_k=3 if deep else 2,
-            oracle_degree=min(d, 6),
-            oracle_vars=min(max(d, 2), 6),
-        )
+    def __init__(self, degree: int = 4, oracle: bool = False) -> None:
+        deep = degree >= 6
+        self.degree = degree  # partition size for action laws and pairing tables
+        self.identity_degree = min(degree, 6)  # total degree for operator identities
+        self.a_max = 3 if deep else 2
+        self.k_max = 4 if deep else 2
+        self.pairs_n = max(degree + 2, 6)
+        self.pairs_k = 5 if deep else 3
+        self.lemma_n = min(degree + 1, 8)
+        self.lemma_k = 4 if deep else 3
+        self.rsform_n = min(degree, 6)
+        self.rsform_k = 3 if deep else 2
+        self.oracle_degree = 6 if oracle else min(degree, 6)
+        self.oracle_vars = max(self.oracle_degree, 2)
 
 
 Check = tuple[str, int, list[str]]  # (name, cases run, failure messages)
@@ -1043,26 +1028,23 @@ SUITES: dict[str, list[Callable[[Bounds], Check]]] = {
     ],
 }
 
-# The acceptance gate: criterion number, description, checks, bounds.
-# Everything is exact equality; the bounds are part of the contract.
-ACCEPTANCE: tuple[tuple[int, str, tuple[Callable[[Bounds], Check], ...], Bounds], ...] = (
+# The acceptance gate: criterion number, description, checks, all run at
+# depth 8.  Everything is exact equality; the depth is part of the contract.
+ACCEPTANCE: tuple[tuple[int, str, tuple[Callable[[Bounds], Check], ...]], ...] = (
     (
         1,
         "vertex-operator action laws, |lam| <= 8, a <= 3, k <= 4",
         tuple(SUITES["actions"]),
-        Bounds(degree=8, a_max=3, k_max=4),
     ),
     (
         2,
         "operator identities on basis elements of degree <= 6",
         tuple(SUITES["identities"]),
-        Bounds(degree=8, identity_degree=6, a_max=3, k_max=4),
     ),
     (
         3,
         "core-ring properties: pairing tables to degree 8, identities to total degree 6",
         tuple(SUITES["ring"] + SUITES["lemmas"]),
-        Bounds(degree=8, identity_degree=6, a_max=3, k_max=4),
     ),
     (
         4,
@@ -1073,25 +1055,21 @@ ACCEPTANCE: tuple[tuple[int, str, tuple[Callable[[Bounds], Check], ...], Bounds]
             check_pairs_one_row,
             check_pairs_saturation,
         ),
-        Bounds(pairs_n=10, pairs_k=5),
     ),
     (
         5,
         "bounded-height Schur sum (n <= 8, k <= 4) and width-zero expansion (n <= 6, k <= 3)",
         (check_schur_sum_lemma, check_rsform),
-        Bounds(lemma_n=8, lemma_k=4, rsform_n=6, rsform_k=3),
     ),
     (
         6,
         "polynomial-oracle sweep, all bases, degree <= 6 in six variables",
         tuple(SUITES["oracle"]),
-        Bounds(oracle_degree=6, oracle_vars=6),
     ),
     (
         7,
         "command-line examples byte-exact and default verify exits 0",
         (check_cli_examples, check_cli_roundtrip, check_cli_default_verify),
-        Bounds(degree=6),
     ),
 )
 
@@ -1107,11 +1085,9 @@ def run_criterion(num: int) -> tuple[str, bool, list[str]]:
     """Run acceptance criterion ``num``: its one-line report
     ``criterion N [PASS] desc (C cases, T.Ts)``, whether it passed, and its
     failures as ``check name: message``."""
-    desc, checks, bounds = next(
-        (desc, checks, bounds) for n, desc, checks, bounds in ACCEPTANCE if n == num
-    )
+    desc, checks = next((desc, checks) for n, desc, checks in ACCEPTANCE if n == num)
     start = time.perf_counter()
-    results, ok = run_checks(checks, bounds)
+    results, ok = run_checks(checks, Bounds(8))
     elapsed = time.perf_counter() - start
     cases = sum(c for _, c, _ in results)
     line = f"criterion {num} [{'PASS' if ok else 'FAIL'}] {desc} ({cases} cases, {elapsed:.1f}s)"

@@ -1,9 +1,10 @@
 """Acceptance gate: every contractual law at its full bounds, exact equality.
 
 One test per criterion; each prints a single pass/fail line (written through
-to the real stdout so it is visible without -s).  The criteria and their
-bounds live in symfunc.verify.ACCEPTANCE, and symfunc.verify.run_criterion
-runs one; scripts/acceptance.py runs the same table outside pytest.  The
+to the real stdout so it is visible without -s).  The criteria live in
+symfunc.verify.ACCEPTANCE, and symfunc.verify.run_criterion runs one at
+the gate's depth, 8; scripts/acceptance.py runs the same table outside
+pytest.  The
 case count of each criterion is pinned, so that a sweep that shrinks fails
 here instead of passing on fewer cases.
 """

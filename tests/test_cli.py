@@ -83,6 +83,23 @@ def test_count_methods(capsys, method):
     assert out == "103\n"
 
 
+def test_count_clamps_height_to_n(capsys, monkeypatch):
+    # A shape of n boxes has at most n rows, so the count at k > n is the one
+    # at k = n; the command asks the library for that, not for 300 heights.
+    from symfunc import cli
+
+    seen = []
+    original = cli.bounded_height_pairs
+
+    def spy(n, k, method):
+        seen.append(k)
+        return original(n, k, method)
+
+    monkeypatch.setattr(cli, "bounded_height_pairs", spy)
+    code, out, _ = run_cli(capsys, "count", "--n", "2", "--k", "300")
+    assert (code, out, seen) == (0, "2\n", [2])
+
+
 def test_count_verbose_terms(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "2", "--k", "2", "--verbose")
     assert code == 0

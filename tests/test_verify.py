@@ -13,7 +13,7 @@ import pytest
 from symfunc import verify, vertex
 from symfunc.verify import Bounds
 
-BOUNDS = Bounds(identity_degree=3, a_max=2, k_max=2)
+BOUNDS = Bounds(3)
 
 PAIRS = [
     ("cm_column", verify.check_eerie_cm),
@@ -51,7 +51,7 @@ def test_action_laws_cover_the_registry():
 
 @pytest.mark.parametrize("op", sorted(ACTION_CHECKS))
 def test_action_check_sees_a_doubled_operator(monkeypatch, op):
-    bounds = Bounds(degree=3, a_max=2, k_max=2)
+    bounds = Bounds(3)
     name = ACTION_CHECKS[op]
     _, cases, bad = verify.check_action_laws(name, bounds)
     assert cases and not bad, bad
@@ -62,3 +62,41 @@ def test_action_check_sees_a_doubled_operator(monkeypatch, op):
     assert any(msg.startswith(f"{op} ") for msg in patched_bad), patched_bad
     monkeypatch.undo()
     assert verify.check_action_laws(name, bounds)[1:] == (cases, [])
+
+
+FIELDS = (
+    "degree", "identity_degree", "a_max", "k_max", "pairs_n", "pairs_k",
+    "lemma_n", "lemma_k", "rsform_n", "rsform_k", "oracle_degree", "oracle_vars",
+)
+
+# (depth, oracle, every range in FIELDS order): the sweeps that
+# `symfunc verify --max-degree D [--oracle]` has always run, written out.
+SCHEDULE = (
+    (0, False, (0, 0, 2, 2, 6, 3, 1, 3, 0, 2, 0, 2)),
+    (0, True, (0, 0, 2, 2, 6, 3, 1, 3, 0, 2, 6, 6)),
+    (1, False, (1, 1, 2, 2, 6, 3, 2, 3, 1, 2, 1, 2)),
+    (1, True, (1, 1, 2, 2, 6, 3, 2, 3, 1, 2, 6, 6)),
+    (2, False, (2, 2, 2, 2, 6, 3, 3, 3, 2, 2, 2, 2)),
+    (2, True, (2, 2, 2, 2, 6, 3, 3, 3, 2, 2, 6, 6)),
+    (3, False, (3, 3, 2, 2, 6, 3, 4, 3, 3, 2, 3, 3)),
+    (3, True, (3, 3, 2, 2, 6, 3, 4, 3, 3, 2, 6, 6)),
+    (4, False, (4, 4, 2, 2, 6, 3, 5, 3, 4, 2, 4, 4)),
+    (4, True, (4, 4, 2, 2, 6, 3, 5, 3, 4, 2, 6, 6)),
+    (5, False, (5, 5, 2, 2, 7, 3, 6, 3, 5, 2, 5, 5)),
+    (5, True, (5, 5, 2, 2, 7, 3, 6, 3, 5, 2, 6, 6)),
+    (6, False, (6, 6, 3, 4, 8, 5, 7, 4, 6, 3, 6, 6)),
+    (6, True, (6, 6, 3, 4, 8, 5, 7, 4, 6, 3, 6, 6)),
+    (7, False, (7, 6, 3, 4, 9, 5, 8, 4, 6, 3, 6, 6)),
+    (7, True, (7, 6, 3, 4, 9, 5, 8, 4, 6, 3, 6, 6)),
+    (8, False, (8, 6, 3, 4, 10, 5, 8, 4, 6, 3, 6, 6)),
+    (8, True, (8, 6, 3, 4, 10, 5, 8, 4, 6, 3, 6, 6)),
+    (9, False, (9, 6, 3, 4, 11, 5, 8, 4, 6, 3, 6, 6)),
+    (9, True, (9, 6, 3, 4, 11, 5, 8, 4, 6, 3, 6, 6)),
+)
+
+
+@pytest.mark.parametrize("degree, oracle, want", SCHEDULE)
+def test_bounds_follow_the_pinned_schedule(degree, oracle, want):
+    bounds = Bounds(degree, oracle=oracle)
+    assert tuple(getattr(bounds, f) for f in FIELDS) == want
+    assert sorted(vars(bounds)) == sorted(FIELDS)
