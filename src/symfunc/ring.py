@@ -271,9 +271,15 @@ class BasisExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _jt_dp(seq: tuple[int, ...]) -> SymFunc:
-    """det|h_{seq_j - j + i}| for 1 <= i, j <= len(seq), by Laplace expansion
-    along the last used row with memoization over column subsets."""
+def jacobi_trudi(seq: Iterable[int]) -> SymFunc:
+    """The determinant det|h_{seq_j - j + i}| for 1 <= i, j <= len(seq) as a
+    symmetric function, by Laplace expansion along the last used row with
+    memoization over column subsets.
+
+    On a partition this is the Schur function; an arbitrary integer sequence
+    straightens to a signed Schur function or vanishes.
+    """
+    seq = tuple(seq)
     size = len(seq)
     dets: dict[int, SymFunc] = {0: SymFunc.one()}
     for mask in sorted(range(1, 1 << size), key=lambda m: m.bit_count()):
@@ -293,15 +299,6 @@ def _jt_dp(seq: tuple[int, ...]) -> SymFunc:
             terms.append(sub if (rows + rank) % 2 == 0 else -sub)
         dets[mask] = SymFunc.sum(terms)
     return dets[(1 << size) - 1]
-
-
-def jacobi_trudi(seq: Iterable[int]) -> "SymFunc":
-    """The determinant det|h_{seq_j - j + i}| as a symmetric function.
-
-    On a partition this is the Schur function; an arbitrary integer sequence
-    straightens to a signed Schur function or vanishes.
-    """
-    return _jt_dp(tuple(seq))
 
 
 def _class_sum(n: int, coordinate) -> SymFunc:

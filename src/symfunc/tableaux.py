@@ -116,15 +116,15 @@ def rs0_power_expansion(n: int, k: int) -> SymFunc:
     """Expansion of the k-th power of the width-zero Schur row adder on h_1^n:
 
         sum over 0 <= l <= n, s a composition of n - l into k parts of
-            (-1)^{n-l} * multinomial(n; l, s) * h_1^l * det|h_{s_j - j + i}|.
+            (-1)^{n-l} * multinomial(n; l, s) * h_1^l * det|h_{s_j - j + i}|,
 
-    Must agree with rs_rows(0, k, h_1^n).
+    which, as multinomial(n; l, s) = C(n, l) * multinomial(n - l; s), is
+    sum over l of (-1)^{n-l} C(n, l) h_1^l times the bounded-height Schur
+    sum of degree n - l.  Must agree with rs_rows(0, k, h_1^n).
     """
     return SymFunc.sum(
-        (-1) ** (n - l) * _multinomial(n, (l,) + tuple(s)) * hn(1) ** l * det
+        (-1) ** (n - l) * math.comb(n, l) * hn(1) ** l * bounded_height_schur_sum(n - l, k)
         for l in range(n + 1)
-        for s in compositions_of(n - l, k)
-        if not (det := jacobi_trudi(s)).is_zero
     )
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .partitions import (
     Partition,
@@ -318,17 +318,15 @@ def t_minus_x_sum(g: SymFunc, pair: str = "ss") -> SymFunc:
     return _perp_sum(g, partitions_upto(g.degree()), by, lambda lam: _sign(lam) * mult(lam))
 
 
-AssignmentLike = Union[Mapping[Partition, SymFunc], Callable[[Partition], SymFunc]]
-
-
-def everything_op(b: str, assignment: AssignmentLike, g: SymFunc) -> SymFunc:
+def everything_op(
+    b: str, assignment: Callable[[Partition], Optional[SymFunc]], g: SymFunc
+) -> SymFunc:
     """The operator sending the basis element b_mu to assignment(mu), applied
     linearly to ``g``.  Raises LookupError naming any partition present in
-    the expansion of ``g`` for which the assignment is undefined."""
-    lookup = assignment if callable(assignment) else assignment.get
+    the expansion of ``g`` for which the assignment returns None."""
     terms = []
     for mu, c in expand(g, b).terms.items():
-        image = lookup(mu)
+        image = assignment(mu)
         if image is None:
             raise LookupError(f"assignment undefined for partition {mu}")
         terms.append(c * image)

@@ -8,9 +8,11 @@ check_eerie_cs alike, and those checks cannot see it.  The action laws are
 checked through the CLI's registry, so there the registry entry is doubled.
 """
 
+from pathlib import Path
+
 import pytest
 
-from symfunc import verify, vertex
+from symfunc import cli, verify, vertex
 from symfunc.verify import Bounds
 
 BOUNDS = Bounds(3)
@@ -26,21 +28,37 @@ PAIRS = [
 
 @pytest.mark.parametrize("op, check", PAIRS, ids=[op for op, _ in PAIRS])
 def test_check_sees_a_doubled_operator(monkeypatch, op, check):
-    _, cases, bad = check(BOUNDS)
+    _, cases, bad = verify.run_check(check, BOUNDS)
     assert cases and not bad, bad
     original = getattr(vertex, op)
     monkeypatch.setattr(vertex, op, lambda *args: 2 * original(*args))
-    _, patched_cases, patched_bad = check(BOUNDS)
+    _, patched_cases, patched_bad = verify.run_check(check, BOUNDS)
     assert patched_cases == cases
     assert patched_bad
     # The memoized operator images are keyed by the function, so the doubled
     # images stay with the replaced operator.
     monkeypatch.undo()
-    assert check(BOUNDS)[1:] == (cases, [])
+    assert verify.run_check(check, BOUNDS)[1:] == (cases, [])
+
+
+def test_failure_report_is_pinned(monkeypatch, capsys):
+    # A doubled cm_column fails two identities: CF is its omega-conjugate.
+    # The report gives each failing check's first five messages and counts
+    # the rest, byte for byte as pinned.
+    original = vertex.cm_column
+    monkeypatch.setattr(vertex, "cm_column", lambda *args: 2 * original(*args))
+    code = cli.main(["verify", "--suite", "identities", "--max-degree", "3"])
+    assert code == 1
+    want = (Path(__file__).parent / "verify_doubled_cm.txt").read_text()
+    assert capsys.readouterr().out == want
 
 
 # OPERATORS name -> the action-law check that covers it
-ACTION_CHECKS = {op: name for name, rows in verify.ACTION_LAWS.items() for op, *_ in rows}
+ACTION_CHECKS = {
+    op: check
+    for check in verify.SUITES["actions"]
+    for op, *_ in verify.ACTION_LAWS[check.check_name]
+}
 
 
 def test_action_laws_cover_the_registry():
@@ -52,16 +70,16 @@ def test_action_laws_cover_the_registry():
 @pytest.mark.parametrize("op", sorted(ACTION_CHECKS))
 def test_action_check_sees_a_doubled_operator(monkeypatch, op):
     bounds = Bounds(3)
-    name = ACTION_CHECKS[op]
-    _, cases, bad = verify.check_action_laws(name, bounds)
+    check = ACTION_CHECKS[op]
+    _, cases, bad = verify.run_check(check, bounds)
     assert cases and not bad, bad
     fn, takes_a, takes_k = vertex.OPERATORS[op]
     monkeypatch.setitem(vertex.OPERATORS, op, (lambda *args: 2 * fn(*args), takes_a, takes_k))
-    _, patched_cases, patched_bad = verify.check_action_laws(name, bounds)
+    _, patched_cases, patched_bad = verify.run_check(check, bounds)
     assert patched_cases == cases
     assert any(msg.startswith(f"{op} ") for msg in patched_bad), patched_bad
     monkeypatch.undo()
-    assert verify.check_action_laws(name, bounds)[1:] == (cases, [])
+    assert verify.run_check(check, bounds)[1:] == (cases, [])
 
 
 FIELDS = (

@@ -181,7 +181,7 @@ def test_everything_op():
     assert everything_op("s", add_column_1_2, b("s", (1,))) == b("s", (2, 1))
     assert everything_op("p", lambda mu: SymFunc.zero(), pn(3)).is_zero
     with pytest.raises(LookupError, match=r"\[2\]"):
-        everything_op("h", {}, hn(2))
+        everything_op("h", lambda mu: None, hn(2))
 
 
 # --- property-based spot checks (full sweeps run in the acceptance gate) ----
