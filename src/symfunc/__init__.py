@@ -35,8 +35,6 @@ from .ring import (
 )
 from .expressions import ParseError, parse_expression
 from .vertex import (
-    OperatorSpec,
-    apply_operator,
     ce_column,
     ch_column,
     cf_column,
@@ -44,6 +42,7 @@ from .vertex import (
     cp_column,
     cs_column,
     everything_op,
+    named_operator,
     rf_row,
     rm_row,
     rm_row_one,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .expressions import parse_expression
 from .ring import BASES, expand, inner_product
 from .tableaux import PAIR_METHODS, bounded_height_pairs, closed_form_terms
-from .vertex import OPERATORS, OperatorSpec, apply_operator
+from .vertex import OPERATORS, named_operator
 from .verify import SUITES, Bounds, run_suites
 
 
@@ -90,8 +90,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "apply":
-            spec = OperatorSpec(args.op, args.a, args.k)
-            result = apply_operator(spec, parse_expression(args.expr))
+            # bound before parsing: a parameter error wins over a parse error
+            op = named_operator(args.op, args.a, args.k)
+            result = op(parse_expression(args.expr))
             expansion = expand(result, args.basis)
             if args.json:
                 print(json.dumps(expansion.to_json_obj(), indent=2))

@@ -10,9 +10,8 @@ with too many rows) return ``None`` instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 Composition = tuple[int, ...]
 
@@ -32,14 +31,6 @@ class Partition(tuple):
                 raise ValueError(f"parts must be weakly decreasing, got {t!r}")
             prev = p
         return tuple.__new__(cls, t)
-
-    @property
-    def size(self) -> int:
-        return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self) + "]"
@@ -117,8 +108,7 @@ def insert_parts(lam: Partition, mu: Partition) -> Partition:
     return _wrap(tuple(sorted(lam + tuple(mu), reverse=True)))
 
 
-@dataclass(frozen=True)
-class StraightenResult:
+class StraightenResult(NamedTuple):
     """Outcome of straightening a Jacobi-Trudi index sequence.
 
     ``sign`` is +1 or -1 with ``shape`` the straightened partition, or 0 with

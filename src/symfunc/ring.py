@@ -29,11 +29,10 @@ concurrent readers are safe and cache refills are idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .partitions import (
     EMPTY,
@@ -217,20 +216,16 @@ def _product(a: SymFunc, b: SymFunc) -> SymFunc:
     return SymFunc._reduced(_dict_mul(a._terms, b._terms), a._den * b._den)
 
 
-def term_sort_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
-    """Canonical display order: by degree, then lexicographically by parts."""
-    return (sum(lam), tuple(lam))
-
-
-@dataclass(frozen=True)
-class BasisExpansion:
+class BasisExpansion(NamedTuple):
     """A symmetric function written in one named basis."""
 
     basis: str
-    terms: Mapping[Partition, Fraction] = field(default_factory=dict)
+    terms: Mapping[Partition, Fraction]
 
     def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+        """The terms in display order: by degree, then lexicographically by
+        parts."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def to_symfunc(self) -> SymFunc:
         return SymFunc.sum(c * _basis_p(self.basis, lam) for lam, c in self.terms.items())
@@ -259,11 +254,6 @@ class BasisExpansion:
                 {"partition": list(lam), "coeff": str(c)} for lam, c in self.sorted_terms()
             ],
         }
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BasisExpansion):
-            return self.basis == other.basis and dict(self.terms) == dict(other.terms)
-        return NotImplemented
 
 
 # ---------------------------------------------------------------------------

@@ -436,7 +436,7 @@ def check_action_laws(name: str, b: Bounds) -> Iterator[Optional[str]]:
             k_from = least_k(len(mu)) if callable(least_k) else least_k
             for a in (None,) if least_a is None else range(least_a, b.a_max + 1):
                 for k in (None,) if k_from is None else range(k_from, b.k_max + 1):
-                    got = vertex.apply_operator(vertex.OperatorSpec(op, a, k), g)
+                    got = vertex.named_operator(op, a, k)(g)
                     ok = got == _action_law(op, a, k, family, mu)
                     yield None if ok else f"{op} a={a} k={k} on {family}_{mu}"
 

@@ -32,17 +32,22 @@ defining sum there).  The column adders handle a = 0: cm/cf through their
 everything-operator reduction, which projects the basis expansion onto
 terms of length <= k, and cs directly.
 
+rm_row_one and rm_row are built from rm_rows: the first is its k = 1 case,
+the second a signed sum of rm_rows(a, k + 1) after skewing by h_a^k.
+
 Three operators are the omega-images of three others and are computed that
 way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
 omega and rf_row = omega o rm_row o omega.  Their literal defining sums live
 in ``verify`` as oracles for that conjugation.
+
+OPERATORS names each operator as the command line's --op does, and
+named_operator(name, a, k) returns it with its parameters bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
 
 from .partitions import (
@@ -125,16 +130,11 @@ def rm_row_one(a: int, g: SymFunc) -> SymFunc:
     """Coefficient-carrying monomial row adder:
     sum over i >= 0 of (-1)^i m_{(a+i)} e_i^perp, for a >= 1.
 
-    Sends m_lam to (1 + n_a(lam)) m_{lam + (a)}.
+    That is rm_rows(a, 1).  Sends m_lam to (1 + n_a(lam)) m_{lam + (a)}.
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    return _perp_sum(
-        g,
-        range(g.degree() + 1),
-        en,
-        lambda i: (-1) ** i * basis_element("m", Partition((a + i,))),
-    )
+    return rm_rows(a, 1, g)
 
 
 def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
@@ -163,23 +163,17 @@ def rm_row(a: int, g: SymFunc) -> SymFunc:
     """Monomial row adder without coefficient, for a >= 1:
 
         sum over k >= 0, l(lam) <= k + 1 of
-            (-1)^{|lam| + k} m_{lam + a^{k+1}} e_lam^perp (h_a^k)^perp.
+            (-1)^{|lam| + k} m_{lam + a^{k+1}} e_lam^perp (h_a^k)^perp,
 
+    which is the sum over k >= 0 of (-1)^k rm_rows(a, k + 1) o (h_a^k)^perp.
     Sends m_lam to m_{lam + (a)}.
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    deg = g.degree()
-
-    def over_lam(k: int) -> SymFunc:
-        return _perp_sum(
-            skew(basis_element("h", Partition((a,) * k)), g),
-            partitions_upto(deg - a * k, max_length=k + 1),
-            lambda lam: basis_element("e", lam),
-            lambda lam: (-1) ** k * _sign(lam) * basis_element("m", add_columns(lam, a, k + 1)),
-        )
-
-    return SymFunc.sum(over_lam(k) for k in range(deg // a + 1))
+    return SymFunc.sum(
+        (-1) ** k * rm_rows(a, k + 1, skew(basis_element("h", Partition((a,) * k)), g))
+        for k in range(g.degree() // a + 1)
+    )
 
 
 def rf_row(a: int, g: SymFunc) -> SymFunc:
@@ -356,32 +350,23 @@ OPERATORS: dict[str, tuple[Callable[..., SymFunc], bool, bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A named operator with its width/height parameters."""
-
-    name: str
-    a: Optional[int] = None
-    k: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.name not in OPERATORS:
-            raise ValueError(f"unknown operator {self.name!r}")
-        _, takes_a, takes_k = OPERATORS[self.name]
-        if takes_a and self.a is None:
-            raise ValueError(f"operator {self.name} requires --a")
-        if not takes_a and self.a is not None:
-            raise ValueError(f"operator {self.name} takes no --a")
-        if takes_k and self.k is None:
-            raise ValueError(f"operator {self.name} requires --k")
-        if not takes_k and self.k is not None:
-            raise ValueError(f"operator {self.name} takes no --k")
-        if (self.a is not None and self.a < 0) or (self.k is not None and self.k < 0):
-            raise ValueError("operator parameters must be non-negative")
-
-
-def apply_operator(spec: OperatorSpec, g: SymFunc) -> SymFunc:
-    """Apply the operator named by ``spec`` to ``g``."""
-    fn, takes_a, takes_k = OPERATORS[spec.name]
-    params = [x for x, taken in ((spec.a, takes_a), (spec.k, takes_k)) if taken]
-    return fn(*params, g)
+def named_operator(
+    name: str, a: Optional[int] = None, k: Optional[int] = None
+) -> Callable[[SymFunc], SymFunc]:
+    """The operator ``name`` of OPERATORS with its width ``a`` and height
+    ``k`` bound, as a function of one argument.  Raises ValueError for an
+    unknown name, a missing or surplus parameter, or a negative one."""
+    if name not in OPERATORS:
+        raise ValueError(f"unknown operator {name!r}")
+    fn, takes_a, takes_k = OPERATORS[name]
+    if takes_a and a is None:
+        raise ValueError(f"operator {name} requires --a")
+    if not takes_a and a is not None:
+        raise ValueError(f"operator {name} takes no --a")
+    if takes_k and k is None:
+        raise ValueError(f"operator {name} requires --k")
+    if not takes_k and k is not None:
+        raise ValueError(f"operator {name} takes no --k")
+    if (a is not None and a < 0) or (k is not None and k < 0):
+        raise ValueError("operator parameters must be non-negative")
+    return partial(fn, *(x for x in (a, k) if x is not None))

@@ -9,7 +9,7 @@ from symfunc import ring
 from symfunc.partitions import partitions_of, partitions_upto
 from symfunc.ring import BASES, SymFunc, basis_element, expand, inner_product, omega, skew
 from symfunc.tableaux import bounded_height_pairs
-from symfunc.vertex import OPERATORS, OperatorSpec, apply_operator
+from symfunc.vertex import OPERATORS, named_operator
 
 DEGREE = 8
 
@@ -48,11 +48,11 @@ def _sweep():
                 skew(f, f * g)
                 inner_product(f, g)
     for name, (_, takes_a, takes_k) in OPERATORS.items():
-        spec = OperatorSpec(name, 2 if takes_a else None, 2 if takes_k else None)
+        op = named_operator(name, 2 if takes_a else None, 2 if takes_k else None)
         for lam in shapes:
             if sum(lam) <= 3:
                 for b in BASES:
-                    expand(apply_operator(spec, basis_element(b, lam)), b)
+                    expand(op(basis_element(b, lam)), b)
     for method in ("closed", "det", "brute"):
         bounded_height_pairs(DEGREE, 3, method)
 

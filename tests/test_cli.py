@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -220,3 +221,43 @@ def test_ring_outputs_are_pinned(capsys):
             assert (code, err) == (0, ""), line
             out += line + "\n" + text
     assert out == pinned
+
+
+def test_apply_errors_are_pinned(capsys, monkeypatch):
+    # Each "$ symfunc apply ..." line of the pinned file, then its exit code
+    # and stderr: an unknown --op, every missing or forbidden --a and --k, the
+    # order in which they are reported, negative and zero parameters, and a
+    # parameter error that wins over a parse error, byte for byte.  argparse
+    # wraps its usage text to the terminal width, so fix the width.
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = (Path(__file__).parent / "apply_errors.txt").read_text()
+    out = ""
+    for line in pinned.splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])
+            assert argv[0] == "symfunc"
+            try:
+                code = main(argv[1:])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert captured.out == "", line
+            out += f"{line}\nexit {code}\n{captured.err}"
+    assert out == pinned
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # A fresh interpreter, so modules the test run has loaded do not count.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import symfunc.cli, sys; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -40,12 +40,6 @@ def test_partition_text_form():
     assert str(Partition()) == "[]"
 
 
-def test_size_and_length():
-    lam = Partition((4, 2, 1))
-    assert lam.size == 7
-    assert lam.length == 3
-
-
 @pytest.mark.parametrize(
     "lam, want",
     [((2, 1), (2, 1)), ((), ()), ((3, 1), (2, 1, 1)), ((4,), (1, 1, 1, 1))],

@@ -15,8 +15,6 @@ from symfunc.ring import SymFunc, basis_element, en, expand, hn, pn, skew
 from symfunc.verify import ce_column_literal, cf_column_literal, rf_row_literal
 from symfunc.vertex import (
     OPERATORS,
-    OperatorSpec,
-    apply_operator,
     ce_column,
     cf_column,
     ch_column,
@@ -24,6 +22,7 @@ from symfunc.vertex import (
     cp_column,
     cs_column,
     everything_op,
+    named_operator,
     rf_row,
     rm_row,
     rm_row_one,
@@ -248,19 +247,20 @@ def test_rs_anticommutation_small():
 
 
 def test_operator_spec_validation():
-    OperatorSpec("CS", a=0, k=2)
-    OperatorSpec("TX")
-    OperatorSpec("RS", a=1)
-    with pytest.raises(ValueError):
-        OperatorSpec("CS", a=1)  # missing k
-    with pytest.raises(ValueError):
-        OperatorSpec("TX", a=1)
-    with pytest.raises(ValueError):
-        OperatorSpec("CH", a=2, k=1)
-    with pytest.raises(ValueError):
-        OperatorSpec("NOPE")
-    with pytest.raises(ValueError):
-        OperatorSpec("RS", a=-1)
+    # the operator name and its parameters are checked when they are bound,
+    # before the operator sees any input
+    named_operator("CS", a=0, k=2)
+    named_operator("TX")
+    named_operator("RS", a=1)
+    for name, a, k, message in (
+        ("CS", 1, None, "operator CS requires --k"),
+        ("TX", 1, None, "operator TX takes no --a"),
+        ("CH", 2, 1, "operator CH takes no --a"),
+        ("NOPE", None, None, "unknown operator 'NOPE'"),
+        ("RS", -1, None, "operator parameters must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            named_operator(name, a, k)
 
 
 # each registry entry against the direct call; a != k catches swapped parameters
@@ -283,7 +283,8 @@ _DIRECT = {
 
 @pytest.mark.parametrize("name", list(OPERATORS))
 def test_apply_operator_dispatch(name):
+    # named_operator is the dispatch behind ``symfunc apply --op``
     _, takes_a, takes_k = OPERATORS[name]
-    spec = OperatorSpec(name, 1 if takes_a else None, 2 if takes_k else None)
+    op = named_operator(name, 1 if takes_a else None, 2 if takes_k else None)
     g = pn(2) * pn(1) + 2 * hn(2) + 3 * one
-    assert apply_operator(spec, g) == _DIRECT[name](g)
+    assert op(g) == _DIRECT[name](g)
