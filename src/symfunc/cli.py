@@ -110,8 +110,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "count":
             if args.n < 0 or args.k < 1:
                 parser.error("need --n >= 0 and --k >= 1")
-            # a shape of n boxes has at most n rows, so heights past n count alike
-            print(bounded_height_pairs(args.n, min(args.k, max(args.n, 1)), args.method))
+            print(bounded_height_pairs(args.n, args.k, args.method))
             if args.verbose:
                 terms = [
                     {"composition": list(s), "term": str(value)}

@@ -23,8 +23,11 @@ character chi^lam(mu), by the Murnaghan-Nakayama rule; for m_lam the h_lam
 coordinate of p_mu, since m is dual to h.  The Jacobi-Trudi determinant over
 h stays as an independent route to s and to signed sequences.  One memo,
 keyed by basis and partition, holds every conversion, so repeated use is
-cheap.  SymFunc values are immutable once built and all functions are pure;
-concurrent readers are safe and cache refills are idempotent.
+cheap.  The index work is memoized too: skew reads, for each target index
+mu, a cached table of the sub-multisets of mu with their remainders and z
+ratios, and the product reads the merged index of each pair of indices
+from a memo.  SymFunc values are immutable once built and all functions
+are pure; concurrent readers are safe and cache refills are idempotent.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .partitions import (
     EMPTY,
     Partition,
     _wrap,
+    insert_parts,
     partitions_of,
-    remove_parts,
     z_value,
 )
 
@@ -68,11 +71,18 @@ def _dict_add(dst: _IntDict, src: Mapping, scale: int) -> None:
             dst.pop(lam, None)
 
 
+@lru_cache(maxsize=None)
+def _merged(lam: Partition, mu: Partition) -> Partition:
+    """The index of p_lam * p_mu, memoized: products meet the same pairs of
+    indices again and again."""
+    return insert_parts(lam, mu)
+
+
 def _dict_mul(a: Mapping, b: Mapping) -> _IntDict:
     out: _IntDict = {}
     for lam, ca in a.items():
         for mu, cb in b.items():
-            key = _wrap(tuple(sorted(lam + mu, reverse=True)))
+            key = _merged(lam, mu)
             v = out.get(key, 0) + ca * cb
             if v:
                 out[key] = v
@@ -399,21 +409,52 @@ def omega(g: SymFunc) -> SymFunc:
     return SymFunc._raw({lam: c * _omega_sign(lam) for lam, c in g._terms.items()}, g._den)
 
 
+@lru_cache(maxsize=None)
+def _sub_table(mu: Partition) -> dict:
+    """{rho: (mu - rho, z_mu // z_{mu - rho})} over every sub-multiset rho of
+    the parts of mu, prod_i (m_i(mu) + 1) rows.  Taking j of the m parts
+    equal to i contributes i^j * m! / (m - j)! to the ratio."""
+    rows = [((), (), 1)]
+    for i in sorted(set(mu), reverse=True):
+        m = mu.count(i)
+        grown = []
+        for rho, nu, ratio in rows:
+            for j in range(m + 1):
+                grown.append((rho + (i,) * j, nu + (i,) * (m - j), ratio))
+                ratio *= i * (m - j)
+        rows = grown
+    return {_wrap(rho): (_wrap(nu), ratio) for rho, nu, ratio in rows}
+
+
 def skew(g: SymFunc, target: SymFunc) -> SymFunc:
     """Apply g^perp, the Hall-adjoint of multiplication by g, to ``target``:
     p_lam^perp p_mu = (z_mu / z_nu) p_nu with nu = mu minus the parts of lam,
-    and 0 when mu lacks some part of lam."""
+    and 0 when mu lacks some part of lam.  Each target index mu reads its
+    table of sub-multisets, walking g's terms or the table, whichever is
+    shorter."""
     out: _IntDict = {}
-    for lam, c in g._terms.items():
-        for mu, d in target._terms.items():
-            nu = remove_parts(mu, lam)
-            if nu is None:
-                continue
-            v = out.get(nu, 0) + c * d * (z_value(mu) // z_value(nu))
-            if v:
-                out[nu] = v
-            else:
-                del out[nu]
+    terms = g._terms
+    for mu, d in target._terms.items():
+        table = _sub_table(mu)
+        if len(terms) <= len(table):
+            for lam, c in terms.items():
+                row = table.get(lam)
+                if row is not None:
+                    nu, ratio = row
+                    v = out.get(nu, 0) + c * d * ratio
+                    if v:
+                        out[nu] = v
+                    else:
+                        del out[nu]
+        else:
+            for lam, (nu, ratio) in table.items():
+                c = terms.get(lam)
+                if c is not None:
+                    v = out.get(nu, 0) + c * d * ratio
+                    if v:
+                        out[nu] = v
+                    else:
+                        del out[nu]
     return SymFunc._reduced(out, g._den * target._den)
 
 

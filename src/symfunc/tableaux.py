@@ -140,6 +140,8 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
+    # a shape of n boxes has at most n rows, so heights past n count alike
+    k = min(k, max(n, 1))
     if method == "brute":
         return sum(syt_count(lam) ** 2 for lam in partitions_of(n, max_length=k))
     if method == "det":

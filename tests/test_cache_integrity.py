@@ -1,4 +1,4 @@
-"""The cached basis conversions hand their values to every caller.
+"""The cached conversions and index tables hand their values to every caller.
 
 A caller that wrote into one would change every later result that reads
 it, so fingerprint each cached value, run the public operations over the
@@ -15,18 +15,26 @@ DEGREE = 8
 
 
 def _cached_values():
-    """The one conversion memo, every basis at every shape up to DEGREE, and
-    the integer p -> h table behind it."""
-    for lam in partitions_upto(DEGREE):
+    """The one conversion memo, every basis at every shape up to DEGREE, the
+    integer p -> h table behind it, the skew's sub-multiset tables and the
+    merged product indices."""
+    shapes = list(partitions_upto(DEGREE))
+    for lam in shapes:
         for b in BASES:
             yield (b, lam), ring._basis_p(b, lam)
         yield ("_p_h", lam), ring._p_h(lam)
+        yield ("_sub_table", lam), ring._sub_table(lam)
+        for mu in shapes:
+            if sum(lam) + sum(mu) <= DEGREE:
+                yield ("_merged", lam, mu), ring._merged(lam, mu)
 
 
 def _fingerprint(value):
     if isinstance(value, SymFunc):
         return (id(value), sorted(value._terms.items()), value._den)
-    return (id(value), sorted(value.items()))
+    if isinstance(value, dict):
+        return (id(value), sorted(value.items()))
+    return (id(value), tuple(value))
 
 
 def _fingerprints():

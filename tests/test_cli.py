@@ -86,17 +86,17 @@ def test_count_methods(capsys, method):
 
 def test_count_clamps_height_to_n(capsys, monkeypatch):
     # A shape of n boxes has at most n rows, so the count at k > n is the one
-    # at k = n; the command asks the library for that, not for 300 heights.
-    from symfunc import cli
+    # at k = n; the library sums the closed form over 2 heights, not 300.
+    from symfunc import tableaux
 
     seen = []
-    original = cli.bounded_height_pairs
+    original = tableaux._closed_numerators
 
-    def spy(n, k, method):
+    def spy(n, k):
         seen.append(k)
-        return original(n, k, method)
+        return original(n, k)
 
-    monkeypatch.setattr(cli, "bounded_height_pairs", spy)
+    monkeypatch.setattr(tableaux, "_closed_numerators", spy)
     code, out, _ = run_cli(capsys, "count", "--n", "2", "--k", "300")
     assert (code, out, seen) == (0, "2\n", [2])
 

@@ -28,11 +28,16 @@ def _cache_state():
     same way in both states."""
     sizes = [fn.cache_info().currsize for fn in ALL_CACHES]
     values = {}
-    for lam in partitions_upto(DEGREE):
+    shapes = list(partitions_upto(DEGREE))
+    for lam in shapes:
         for b in BASES:
             value = ring._basis_p(b, lam)
             values[b, lam] = (dict(value._terms), value._den)
         values["_p_h", lam] = dict(ring._p_h(lam))
+        values["_sub_table", lam] = dict(ring._sub_table(lam))
+        for mu in shapes:
+            if sum(lam) + sum(mu) <= DEGREE:
+                values["_merged", lam, mu] = ring._merged(lam, mu)
     return sizes, values
 
 

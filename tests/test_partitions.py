@@ -1,11 +1,9 @@
 import math
-from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from symfunc.partitions import (
-    Composition,
     Partition,
     add_columns,
     compositions_of,

@@ -366,6 +366,46 @@ def test_operations_match_literal_fraction_formulas():
             }, (k1, k2)
 
 
+def test_sub_table_rows_match_literal_removal():
+    for mu in all_parts_upto(8):
+        table = ring._sub_table(mu)
+        assert len(table) == math.prod(m + 1 for m in Counter(mu).values()), mu
+        for rho, (nu, ratio) in table.items():
+            rest = Counter(mu)
+            rest.subtract(rho)
+            assert min(rest.values(), default=0) >= 0, (mu, rho)
+            assert nu == P(sorted(rest.elements(), reverse=True)), (mu, rho)
+            assert ratio == _literal_z(mu) // _literal_z(nu), (mu, rho)
+
+
+def test_skew_matches_literal_on_mixed_combinations():
+    # integer combinations of mixed degree: repeated parts, the empty index,
+    # the zero function, and 2 p_211 - p_221 under p_1 + p_2, whose two p_21
+    # contributions cancel
+    wide = {lam: (-1) ** len(lam) * (sum(lam) + 1) for lam in all_parts_upto(5)}
+    combos = [
+        {},
+        {(): 5},
+        {(1, 1): 3, (): -2},
+        {(1,): 1, (2,): 1},
+        {(2, 1, 1): 2, (2, 2, 1): -1},
+        {(2, 2, 1): 1, (3,): -4, (): 7},
+        {(1,) * 6: 2, (2, 2, 1, 1): -1, (6,): 5, (3, 3): 1, (1,): -3},
+        wide,
+    ]
+    funcs = [SymFunc(c) for c in combos]
+    assert (2, 1) not in skew(funcs[3], funcs[4])._terms
+    # g is shorter than some target tables (1^6 has 7 rows) and longer than
+    # others (a single part has 2), so both walks run
+    tables = [len(ring._sub_table(mu)) for t in funcs for mu in t._terms]
+    walks = {len(g._terms) <= rows for g in funcs for rows in tables}
+    assert walks == {True, False}
+    for g, a in zip(funcs, combos):
+        for t, b in zip(funcs, combos):
+            want = _literal_skew({P(k): v for k, v in a.items()}, {P(k): v for k, v in b.items()})
+            assert _coeffs(skew(g, t)) == want, (a, b)
+
+
 def test_equal_functions_hash_equal():
     half = Fraction(1, 2)
     pairs = [

@@ -9,6 +9,7 @@ from symfunc.cli import main
 from symfunc.partitions import Partition, compositions_of, partitions_of
 from symfunc.ring import SymFunc, basis_element, expand, hn
 from symfunc.tableaux import (
+    PAIR_METHODS,
     bounded_height_pairs,
     bounded_height_schur_sum,
     catalan,
@@ -116,6 +117,12 @@ def test_pairs_methods_agree(n, k):
 def test_pairs_catalan_and_saturation(n):
     assert bounded_height_pairs(n, 2, "closed") == catalan(n)
     assert bounded_height_pairs(n, max(n, 1), "closed") == factorial(n)
+
+
+def test_pairs_clamp_height_to_n():
+    # a shape of 6 boxes has at most 6 rows, so k = 12 costs what k = 6 does
+    for method in PAIR_METHODS:
+        assert bounded_height_pairs(6, 12, method) == bounded_height_pairs(6, 6, method) == 720
 
 
 def test_catalan_examples():

@@ -11,7 +11,7 @@ from symfunc.partitions import (
     partitions_of,
     straighten,
 )
-from symfunc.ring import SymFunc, basis_element, en, expand, hn, pn, skew
+from symfunc.ring import SymFunc, basis_element, hn, pn
 from symfunc.verify import ce_column_literal, cf_column_literal, rf_row_literal
 from symfunc.vertex import (
     OPERATORS,
