@@ -60,7 +60,6 @@ from .tableaux import (
     syt_count,
     theta,
 )
-from .polyoracle import MultiPoly, check_conversion, realize, realize_symfunc
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -22,10 +22,12 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Sequence[int] = ()) -> "Partition":
+        if type(parts) is Partition:  # valid by construction
+            return parts
         t = tuple(parts)
         prev = None
         for p in t:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {t!r}")
             if prev is not None and prev < p:
                 raise ValueError(f"parts must be weakly decreasing, got {t!r}")

@@ -60,10 +60,7 @@ class MultiPoly:
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), Fraction(0))
 
-    def __mul__(self, other: "MultiPoly | Fraction | int") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            c = Fraction(other)
-            return MultiPoly(self.nvars, {m: v * c for m, v in self._terms.items()})
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         out: dict[Monomial, Fraction | int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -74,8 +71,6 @@ class MultiPoly:
                 else:
                     del out[key]
         return self._raw(self.nvars, out)
-
-    __rmul__ = __mul__
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict[Monomial, Fraction | int]) -> "MultiPoly":

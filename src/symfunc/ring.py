@@ -238,7 +238,7 @@ class BasisExpansion(NamedTuple):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def to_symfunc(self) -> SymFunc:
-        return SymFunc.sum(c * _basis_p(self.basis, lam) for lam, c in self.terms.items())
+        return SymFunc.sum(c * basis_element(self.basis, lam) for lam, c in self.terms.items())
 
     def to_text(self) -> str:
         """Render in the expression grammar, e.g. ``3/2*s[2,1] - p[3]``."""
@@ -282,7 +282,7 @@ def jacobi_trudi(seq: Iterable[int]) -> SymFunc:
     seq = tuple(seq)
     size = len(seq)
     dets: dict[int, SymFunc] = {0: SymFunc.one()}
-    for mask in sorted(range(1, 1 << size), key=lambda m: m.bit_count()):
+    for mask in range(1, 1 << size):  # each sub-mask is smaller, so filled first
         rows = mask.bit_count()
         terms = []
         rank = 0
@@ -366,10 +366,10 @@ def _m_p(lam: Partition) -> SymFunc:
 @lru_cache(maxsize=None)
 def _basis_p(b: str, lam: Partition) -> SymFunc:
     """b_lam in power-sum coordinates: the one cached conversion, shared by
-    every caller, so no caller may write into the value it returns.  A plain
-    tuple hits the same entry as its Partition, so the p key is rebuilt."""
+    every caller, so no caller may write into the value it returns.  Keys
+    are exact Partitions, so the p index is the key itself."""
     if b == "p":
-        return SymFunc._raw({Partition(lam): 1})
+        return SymFunc._raw({lam: 1})
     if b == "h":
         if len(lam) > 1:
             return _product(_basis_p("h", _wrap(lam[:1])), _basis_p("h", _wrap(lam[1:])))
@@ -478,7 +478,6 @@ def expand(g: SymFunc, b: str) -> BasisExpansion:
     return BasisExpansion(b, terms)
 
 
-@lru_cache(maxsize=None)
 def r_coefficient(mu: Partition) -> int:
     """Signed multinomial (-1)^{|mu|-l(mu)} * l(mu)! / prod_i n_i(mu)!.
 
@@ -500,7 +499,7 @@ def r_coefficient(mu: Partition) -> int:
 
 
 def _row(n: int) -> Partition:
-    return _wrap((n,)) if n else EMPTY
+    return Partition((n,)) if n else EMPTY
 
 
 def hn(n: int) -> SymFunc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 import time
-from functools import lru_cache, partial
+from functools import partial
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Optional, TextIO
@@ -450,14 +450,6 @@ for _name in ACTION_LAWS:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _image(op: Callable[..., SymFunc], params: tuple, basis: str, lam: Partition) -> SymFunc:
-    """op(*params, b_lam): the relation checks reuse the operator images of
-    single basis elements.  Keyed by the function object, so an operator
-    replaced at run time never reads another's images."""
-    return op(*params, basis_element(basis, lam))
-
-
 def _signed_perp_sum(
     g: SymFunc,
     lams: Iterable[Partition],
@@ -600,14 +592,16 @@ def _check_paired(
 
     mu of length <= k when ``short``; by is a key of _SKEW_BY, and x, y name
     ``vertex`` functions of (k,) when ``least_a`` is None, else of (a, k),
-    looked up when the check runs so that a replaced operator is checked."""
+    looked up when the check runs so that a replaced operator is checked.
+    The images y(basis_mu) come from vertex._image, which cs_column reads
+    too: the two sides share that cache, not a summing loop."""
     for a in (None,) if least_a is None else range(least_a, b.a_max + 1):
         for k in range(least_k, b.k_max + 1):
             params, at = ((k,), f"k={k}") if a is None else ((a, k), f"a={a}, k={k}")
             for lam, g in _basis_upto("p", b.identity_degree):
                 mus = list(partitions_upto(g.degree(), max_length=k if short else None))
                 for x, by, y, basis in sides:
-                    image = partial(_image, getattr(vertex, y), params, basis)
+                    image = partial(vertex._image, getattr(vertex, y), params, basis)
                     ok = getattr(vertex, x)(*params, g) == _signed_perp_sum(
                         g, mus, _SKEW_BY[by], image
                     )

@@ -258,8 +258,11 @@ def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _rs_rows_on_schur(a: int, k: int, lam: Partition) -> SymFunc:
-    return rs_rows(a, k, basis_element("s", lam))
+def _image(op: Callable[..., SymFunc], params: tuple, basis: str, lam: Partition) -> SymFunc:
+    """op(*params, b_lam), the image of one basis element, for cs_column and
+    the paired checks in ``verify``.  Keyed by the function object, so an
+    operator replaced at run time never reads another's images."""
+    return op(*params, basis_element(basis, lam))
 
 
 def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
@@ -269,7 +272,8 @@ def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
 
     Sends s_lam to s_{lam + a^k} when l(lam) <= k and to 0 when l(lam) > k.
     With a = 0 it therefore projects a Schur expansion onto shapes of at
-    most k rows.  k = 0 reduces to constant-term extraction.
+    most k rows.  k = 0 reduces to constant-term extraction.  Each image
+    rs_rows(a, k) s_lam comes from _image under the current rs_rows.
     """
     if a < 0 or k < 0:
         raise ValueError("a and k must be non-negative")
@@ -277,7 +281,7 @@ def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
         g,
         partitions_upto(g.degree()),
         lambda lam: basis_element("s", conjugate(lam)),
-        lambda lam: _sign(lam) * _rs_rows_on_schur(a, k, lam),
+        lambda lam: _sign(lam) * _image(rs_rows, (a, k), "s", lam),
     )
 
 

@@ -5,7 +5,7 @@ it, so fingerprint each cached value, run the public operations over the
 same degrees, and require every value to come out unchanged.
 """
 
-from symfunc import ring
+from symfunc import ring, vertex
 from symfunc.partitions import partitions_of, partitions_upto
 from symfunc.ring import BASES, SymFunc, basis_element, expand, inner_product, omega, skew
 from symfunc.tableaux import bounded_height_pairs
@@ -16,8 +16,9 @@ DEGREE = 8
 
 def _cached_values():
     """The one conversion memo, every basis at every shape up to DEGREE, the
-    integer p -> h table behind it, the skew's sub-multiset tables and the
-    merged product indices."""
+    integer p -> h table behind it, the skew's sub-multiset tables, the
+    merged product indices, and the operator images that the sweep's CS
+    reads."""
     shapes = list(partitions_upto(DEGREE))
     for lam in shapes:
         for b in BASES:
@@ -27,6 +28,8 @@ def _cached_values():
         for mu in shapes:
             if sum(lam) + sum(mu) <= DEGREE:
                 yield ("_merged", lam, mu), ring._merged(lam, mu)
+        if sum(lam) <= 3:
+            yield ("_image", lam), vertex._image(vertex.rs_rows, (2, 2), "s", lam)
 
 
 def _fingerprint(value):

@@ -246,13 +246,11 @@ def test_apply_errors_are_pinned(capsys, monkeypatch):
     assert out == pinned
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # A fresh interpreter, so modules the test run has loaded do not count.
+def _loaded_by_import(module, names):
+    """Which of ``names`` are in sys.modules after ``import module`` in a
+    fresh interpreter, so that modules the test run has loaded do not count."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "import symfunc.cli, sys; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-    )
+    code = f"import {module}, sys; print(sorted(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -260,4 +258,12 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    assert _loaded_by_import("symfunc.cli", ("dataclasses", "inspect")) == "[]\n"
+
+
+def test_package_import_leaves_out_the_oracle():
+    assert _loaded_by_import("symfunc", ("symfunc.polyoracle",)) == "[]\n"

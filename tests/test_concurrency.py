@@ -2,9 +2,12 @@
 at once hold the same values as a fill from one thread, and every result
 matches."""
 
+import importlib
+import pkgutil
 import sys
 import threading
 
+import symfunc
 from symfunc import ring, vertex
 from symfunc.partitions import partitions_of, partitions_upto
 from symfunc.ring import BASES, basis_element, hn
@@ -13,8 +16,13 @@ DEGREE = 7
 THREADS = 8  # more threads than cores, so fills interleave
 ROUNDS = 3  # each round is one chance for a racy fill to show
 
-ALL_CACHES = [fn for fn in vars(ring).values() if hasattr(fn, "cache_clear")]
-ALL_CACHES.append(vertex._rs_rows_on_schur)
+# every memo of the library, by its qualified name, from every module
+ALL_CACHES = {
+    f"{fn.__module__}.{fn.__qualname__}": fn
+    for info in pkgutil.iter_modules(symfunc.__path__)
+    for fn in vars(importlib.import_module(f"symfunc.{info.name}")).values()
+    if hasattr(fn, "cache_clear")
+}
 
 
 def _work():
@@ -26,7 +34,7 @@ def _cache_state():
     """The size of every cache, then the value under every key up to DEGREE.
     The sizes come first: reading fills the keys the work did not reach, the
     same way in both states."""
-    sizes = [fn.cache_info().currsize for fn in ALL_CACHES]
+    sizes = [fn.cache_info().currsize for fn in ALL_CACHES.values()]
     values = {}
     shapes = list(partitions_upto(DEGREE))
     for lam in shapes:
@@ -42,7 +50,7 @@ def _cache_state():
 
 
 def _clear_caches():
-    for fn in ALL_CACHES:
+    for fn in ALL_CACHES.values():
         fn.cache_clear()
 
 
@@ -83,3 +91,16 @@ def test_threaded_fills_match_a_single_thread():
         _clear_caches()
         assert all(result == reference for result in _threaded_work())
         assert _cache_state() == reference_state
+
+
+def test_the_memos_are_the_seven_listed():
+    # ROADMAP item 3 lists these; a new memo belongs in that list too.
+    assert sorted(ALL_CACHES) == [
+        "symfunc.partitions._all_partitions",
+        "symfunc.polyoracle._realize_p",
+        "symfunc.ring._basis_p",
+        "symfunc.ring._merged",
+        "symfunc.ring._p_h",
+        "symfunc.ring._sub_table",
+        "symfunc.vertex._image",
+    ]

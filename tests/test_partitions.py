@@ -23,14 +23,13 @@ parts_strategy = st.lists(st.integers(1, 6), max_size=6).map(
 
 
 def test_partition_validation():
-    assert Partition((3, 2, 2)) == (3, 2, 2)
+    lam = Partition((3, 2, 2))
+    assert lam == (3, 2, 2)
+    assert Partition(lam) is lam
     assert Partition() == ()
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
-    with pytest.raises(ValueError):
-        Partition((-1,))
+    for bad in [(1, 2), (2, 0), (-1,), (True,), (2, True)]:
+        with pytest.raises(ValueError):
+            Partition(bad)
 
 
 def test_partition_text_form():

@@ -106,6 +106,23 @@ def test_p_memo_keys_are_partitions():
     assert repr(basis_element("p", P((3, 1)))) == "p[3,1]"
 
 
+def test_bad_parts_never_reach_the_memo():
+    # True == 1 and hashes like it, so a stored bool key would print later.
+    ring._basis_p.cache_clear()
+    bad = [
+        lambda: basis_element("p", [True, True]),
+        lambda: pn(True),
+        lambda: pn(-1),
+        lambda: hn(-1),
+        lambda: en(-1),
+        lambda: SymFunc({(True,): 1}),
+    ]
+    for build in bad:
+        with pytest.raises(ValueError):
+            build()
+    assert repr(basis_element("p", (1, 1))) == "p[1,1]"
+
+
 def test_basis_element_rejects_bad_basis():
     with pytest.raises(ValueError):
         basis_element("q", P((1,)))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symfunc import vertex
 from symfunc.partitions import (
     Partition,
     add_columns,
@@ -148,6 +149,16 @@ def test_cs_examples():
     assert cs_column(1, 2, b("s", (1,))) == b("s", (2, 1))
     assert cs_column(0, 2, b("s", (1, 1, 1))).is_zero
     assert cs_column(0, 2, b("s", (2, 1))) == b("s", (2, 1))
+
+
+def test_cs_column_reads_the_current_rs_rows(monkeypatch):
+    # A replaced rs_rows must not leave its images behind for the original.
+    vertex._image.cache_clear()
+    rs_rows_before = vertex.rs_rows
+    monkeypatch.setattr(vertex, "rs_rows", lambda a, k, g: 2 * rs_rows_before(a, k, g))
+    cs_column(1, 2, b("s", (1,)))
+    monkeypatch.undo()
+    assert cs_column(1, 2, b("s", (1,))) == b("s", (2, 1))
 
 
 def test_cs_width_zero_is_height_projection():
