@@ -65,15 +65,14 @@ class MultiPoly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 key = tuple(a + b for a, b in zip(m1, m2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + c1 * c2
         return self._raw(self.nvars, out)
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict[Monomial, Fraction | int]) -> "MultiPoly":
+        """Wrap clean coefficients, dropping the zeros a sum left behind."""
+        if 0 in terms.values():
+            terms = {mono: c for mono, c in terms.items() if c}
         self = object.__new__(cls)
         self.nvars = nvars
         self._terms = terms
@@ -114,8 +113,6 @@ def _power_sum(n: int, v: int) -> MultiPoly:
 
 
 def _elementary(n: int, v: int) -> MultiPoly:
-    if n == 0:
-        return MultiPoly.one(v)
     terms: dict[Monomial, int] = {}
     for subset in combinations(range(v), n):
         mono = [0] * v

@@ -4,12 +4,13 @@ Every symmetric function is stored in power-sum coordinates, as integer
 numerators over one shared denominator: a SymFunc is a finite map
 {partition -> nonzero int} with a denominator D >= 1, representing
 sum (c_lam / D) * p_lam, always reduced so that D and the numerators have
-no common factor; that form is canonical.  In these coordinates the product
-is a multiset union of indices, the Hall inner product is diagonal
-(<p_lam, p_mu> = z_lam * delta), the involution omega is a sign flip, and
-skewing by p_lam deletes the parts of lam from each index mu, scaled by the
-integer z_mu / z_{mu - lam}, so every operation runs on integers and is
-exact.  Coefficients leave the ring as Fractions.
+no common factor; that form is canonical.  A dict still being added to may
+hold zeros; SymFunc._reduced drops them once, where the value is built.  In
+these coordinates the product is a multiset union of indices, the Hall inner
+product is diagonal (<p_lam, p_mu> = z_lam * delta), the involution omega is
+a sign flip, and skewing by p_lam deletes the parts of lam from each index
+mu, scaled by the integer z_mu / z_{mu - lam}, so every operation runs on
+integers and is exact.  Coefficients leave the ring as Fractions.
 
 Six classical bases are supported, named by single letters:
 
@@ -54,21 +55,11 @@ BASES = ("p", "m", "e", "h", "s", "f")
 # is read off by expand directly).
 DUAL_BASIS = {"m": "h", "h": "m", "e": "f", "f": "e", "s": "s"}
 
-_IntDict = dict  # {Partition: int}, no zero values
+_IntDict = dict  # {Partition: int}, zeros only until SymFunc._reduced drops them
 
 
 def _omega_sign(lam: tuple[int, ...]) -> int:
     return -1 if (sum(lam) - len(lam)) % 2 else 1
-
-
-def _dict_add(dst: _IntDict, src: Mapping, scale: int) -> None:
-    unit = scale == 1
-    for lam, c in src.items():
-        v = dst.get(lam, 0) + (c if unit else c * scale)
-        if v:
-            dst[lam] = v
-        else:
-            dst.pop(lam, None)
 
 
 @lru_cache(maxsize=None)
@@ -83,11 +74,7 @@ def _dict_mul(a: Mapping, b: Mapping) -> _IntDict:
     for lam, ca in a.items():
         for mu, cb in b.items():
             key = _merged(lam, mu)
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+            out[key] = out.get(key, 0) + ca * cb
     return out
 
 
@@ -116,7 +103,9 @@ class SymFunc:
 
     @classmethod
     def _reduced(cls, terms: _IntDict, den: int) -> "SymFunc":
-        """Numerators over ``den`` > 0, brought to lowest terms."""
+        """Numerators over ``den`` > 0, zeros dropped, in lowest terms."""
+        if 0 in terms.values():
+            terms = {lam: c for lam, c in terms.items() if c}
         if den != 1:
             common = gcd(den, *terms.values())  # den itself when there are no terms
             if common != 1:
@@ -145,7 +134,10 @@ class SymFunc:
         scale = den // first._den
         out = dict(first._terms) if scale == 1 else {lam: c * scale for lam, c in first._terms.items()}
         for term in terms[1:]:
-            _dict_add(out, term._terms, den // term._den)
+            scale = den // term._den
+            unit = scale == 1
+            for lam, c in term._terms.items():
+                out[lam] = out.get(lam, 0) + (c if unit else c * scale)
         return cls._reduced(out, den)
 
     def items(self) -> Iterator[tuple[Partition, Fraction]]:
@@ -441,20 +433,12 @@ def skew(g: SymFunc, target: SymFunc) -> SymFunc:
                 row = table.get(lam)
                 if row is not None:
                     nu, ratio = row
-                    v = out.get(nu, 0) + c * d * ratio
-                    if v:
-                        out[nu] = v
-                    else:
-                        del out[nu]
+                    out[nu] = out.get(nu, 0) + c * d * ratio
         else:
             for lam, (nu, ratio) in table.items():
                 c = terms.get(lam)
                 if c is not None:
-                    v = out.get(nu, 0) + c * d * ratio
-                    if v:
-                        out[nu] = v
-                    else:
-                        del out[nu]
+                    out[nu] = out.get(nu, 0) + c * d * ratio
     return SymFunc._reduced(out, g._den * target._den)
 
 
@@ -499,7 +483,7 @@ def r_coefficient(mu: Partition) -> int:
 
 
 def _row(n: int) -> Partition:
-    return Partition((n,)) if n else EMPTY
+    return EMPTY if type(n) is int and n == 0 else Partition((n,))
 
 
 def hn(n: int) -> SymFunc:

@@ -580,7 +580,7 @@ _SKEW_BY: dict[str, Callable[[Partition], SymFunc]] = {
     **{x: partial(basis_element, x) for x in "mfe"},
     "s'": lambda mu: basis_element("s", conjugate(mu)),
 }
-_LABEL = {fn.__name__: name for name, (fn, _, _) in vertex.OPERATORS.items()}
+_LABEL = {fn_name: name for name, (fn_name, _, _) in vertex.OPERATORS.items()}
 
 
 def _check_paired(

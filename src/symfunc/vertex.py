@@ -40,8 +40,8 @@ way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
 omega and rf_row = omega o rm_row o omega.  Their literal defining sums live
 in ``verify`` as oracles for that conjugation.
 
-OPERATORS names each operator as the command line's --op does, and
-named_operator(name, a, k) returns it with its parameters bound.
+OPERATORS names each operator as --op does, with its function's name here;
+named_operator(name, a, k) looks the function up when it binds it.
 """
 
 from __future__ import annotations
@@ -335,34 +335,35 @@ def everything_op(
 # Named dispatch for the CLI.
 # ---------------------------------------------------------------------------
 
-# name -> (function, takes a, takes k); the function takes (a, k, g) minus
-# the parameters it does not take.  The order is the CLI's --op order.
-OPERATORS: dict[str, tuple[Callable[..., SymFunc], bool, bool]] = {
-    "CP": (cp_column, True, True),
-    "CH": (ch_column, False, True),
-    "CE": (ce_column, False, True),
-    "RM1": (rm_row_one, True, False),
-    "RMK": (rm_rows, True, True),
-    "RM": (rm_row, True, False),
-    "RF": (rf_row, True, False),
-    "CM": (cm_column, True, True),
-    "CF": (cf_column, True, True),
-    "RS": (rs_row, True, False),
-    "RSK": (rs_rows, True, True),
-    "CS": (cs_column, True, True),
-    "TX": (t_minus_x, False, False),
+# name -> (function name, takes a, takes k), the function taking (a, k, g)
+# minus the parameters it does not take and looked up when named_operator
+# binds it.  The order is the CLI's --op order.
+OPERATORS: dict[str, tuple[str, bool, bool]] = {
+    "CP": ("cp_column", True, True),
+    "CH": ("ch_column", False, True),
+    "CE": ("ce_column", False, True),
+    "RM1": ("rm_row_one", True, False),
+    "RMK": ("rm_rows", True, True),
+    "RM": ("rm_row", True, False),
+    "RF": ("rf_row", True, False),
+    "CM": ("cm_column", True, True),
+    "CF": ("cf_column", True, True),
+    "RS": ("rs_row", True, False),
+    "RSK": ("rs_rows", True, True),
+    "CS": ("cs_column", True, True),
+    "TX": ("t_minus_x", False, False),
 }
 
 
 def named_operator(
     name: str, a: Optional[int] = None, k: Optional[int] = None
 ) -> Callable[[SymFunc], SymFunc]:
-    """The operator ``name`` of OPERATORS with its width ``a`` and height
-    ``k`` bound, as a function of one argument.  Raises ValueError for an
-    unknown name, a missing or surplus parameter, or a negative one."""
+    """The operator ``name`` of OPERATORS, as this module binds it now, with
+    ``a`` and ``k`` bound, as a function of one argument.  Raises ValueError
+    for an unknown name, a missing or surplus parameter, or a negative one."""
     if name not in OPERATORS:
         raise ValueError(f"unknown operator {name!r}")
-    fn, takes_a, takes_k = OPERATORS[name]
+    fn_name, takes_a, takes_k = OPERATORS[name]
     if takes_a and a is None:
         raise ValueError(f"operator {name} requires --a")
     if not takes_a and a is not None:
@@ -373,4 +374,4 @@ def named_operator(
         raise ValueError(f"operator {name} takes no --k")
     if (a is not None and a < 0) or (k is not None and k < 0):
         raise ValueError("operator parameters must be non-negative")
-    return partial(fn, *(x for x in (a, k) if x is not None))
+    return partial(globals()[fn_name], *(x for x in (a, k) if x is not None))

@@ -223,14 +223,16 @@ def test_ring_outputs_are_pinned(capsys):
     assert out == pinned
 
 
-def test_apply_errors_are_pinned(capsys, monkeypatch):
-    # Each "$ symfunc apply ..." line of the pinned file, then its exit code
-    # and stderr: an unknown --op, every missing or forbidden --a and --k, the
-    # order in which they are reported, negative and zero parameters, and a
-    # parameter error that wins over a parse error, byte for byte.  argparse
-    # wraps its usage text to the terminal width, so fix the width.
+def test_cli_errors_are_pinned(capsys, monkeypatch):
+    # Each "$ symfunc ..." line of the pinned file, then its exit code and
+    # stderr: for apply, an unknown --op, every missing or forbidden --a and
+    # --k, the order in which they are reported, negative and zero parameters,
+    # and a parameter error that wins over a parse error; then an unclosed
+    # bracket, and count and verify refusing out-of-range numbers, byte for
+    # byte.  argparse wraps its usage text to the terminal width, so fix the
+    # width.
     monkeypatch.setenv("COLUMNS", "80")
-    pinned = (Path(__file__).parent / "apply_errors.txt").read_text()
+    pinned = (Path(__file__).parent / "cli_errors.txt").read_text()
     out = ""
     for line in pinned.splitlines():
         if line.startswith("$ "):

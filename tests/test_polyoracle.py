@@ -27,6 +27,12 @@ def test_multipoly_arity_check():
         MultiPoly(2, {(1, 0, 0): 1})
 
 
+def test_product_drops_cancelled_terms():
+    # (x1 + x2)(x1 - x2): the two x1*x2 terms cancel
+    prod = MultiPoly(2, {(1, 0): 1, (0, 1): 1}) * MultiPoly(2, {(1, 0): 1, (0, 1): -1})
+    assert dict(prod.items()) == {(2, 0): 1, (0, 2): -1}
+
+
 def test_realize_examples():
     m21 = realize("m", P((2, 1)), 3)
     monos = dict(m21.items())

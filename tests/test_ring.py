@@ -112,6 +112,9 @@ def test_bad_parts_never_reach_the_memo():
     bad = [
         lambda: basis_element("p", [True, True]),
         lambda: pn(True),
+        lambda: pn(False),
+        lambda: hn(False),
+        lambda: en(False),
         lambda: pn(-1),
         lambda: hn(-1),
         lambda: en(-1),
@@ -121,6 +124,14 @@ def test_bad_parts_never_reach_the_memo():
         with pytest.raises(ValueError):
             build()
     assert repr(basis_element("p", (1, 1))) == "p[1,1]"
+
+
+def test_p_h_holds_no_zero():
+    # _p_h builds its values with _dict_mul, which keeps the zeros a sum
+    # leaves, and never passes them through SymFunc._reduced, which drops them.
+    for n in range(11):
+        for mu in partitions_of(n):
+            assert 0 not in ring._p_h(mu).values(), mu
 
 
 def test_basis_element_rejects_bad_basis():
@@ -433,6 +444,8 @@ def test_equal_functions_hash_equal():
         (Fraction(2, 3) * (hn(1) * Fraction(3, 4)), half * pn(1)),
         (SymFunc({(2,): 0, (): Fraction(7, 7)}), SymFunc.one()),
         (hn(3) - hn(3), SymFunc({})),
+        # the two p_21 terms of the product cancel
+        ((pn(1) + pn(2)) * (pn(1) - pn(2)), pn(1) ** 2 - pn(2) ** 2),
     ]
     for built, want in pairs:
         assert _canonical(built) and _canonical(want)

@@ -5,7 +5,9 @@ through a check that compares it with an independent route.  The pairs
 matter: ce_column is computed from ch_column and cs_column from rs_rows, so
 doubling ch_column or rs_rows scales both sides of check_eerie_he or
 check_eerie_cs alike, and those checks cannot see it.  The action laws are
-checked through the CLI's registry, so there the registry entry is doubled.
+checked through vertex.named_operator, the CLI's dispatch, which looks each
+function up on the module when it binds it, so there too the module
+attribute is doubled.
 """
 
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from symfunc import cli, verify, vertex
+from symfunc.ring import basis_element
 from symfunc.verify import Bounds
 
 BOUNDS = Bounds(3)
@@ -73,13 +76,30 @@ def test_action_check_sees_a_doubled_operator(monkeypatch, op):
     check = ACTION_CHECKS[op]
     _, cases, bad = verify.run_check(check, bounds)
     assert cases and not bad, bad
-    fn, takes_a, takes_k = vertex.OPERATORS[op]
-    monkeypatch.setitem(vertex.OPERATORS, op, (lambda *args: 2 * fn(*args), takes_a, takes_k))
+    fn_name = vertex.OPERATORS[op][0]
+    original = getattr(vertex, fn_name)
+    monkeypatch.setattr(vertex, fn_name, lambda *args: 2 * original(*args))
     _, patched_cases, patched_bad = verify.run_check(check, bounds)
     assert patched_cases == cases
     assert any(msg.startswith(f"{op} ") for msg in patched_bad), patched_bad
     monkeypatch.undo()
     assert verify.run_check(check, bounds)[1:] == (cases, [])
+
+
+def test_replaced_operator_is_the_one_applied(monkeypatch, capsys):
+    # apply --op and the action checks both bind the function the module
+    # holds when named_operator runs.
+    check = ACTION_CHECKS["CS"]
+    g = basis_element("s", (2, 1))
+    original = vertex.cs_column
+    monkeypatch.setattr(vertex, "cs_column", lambda *args: 2 * original(*args))
+    assert vertex.named_operator("CS", 1, 2)(g) == 2 * original(1, 2, g)
+    assert cli.main(["apply", "--op", "CS", "--a", "1", "--k", "2", "s[2,1]", "--basis", "s"]) == 0
+    assert capsys.readouterr().out == "2*s[3,2]\n"
+    assert verify.run_check(check, BOUNDS)[2]
+    monkeypatch.undo()
+    assert vertex.named_operator("CS", 1, 2)(g) == original(1, 2, g)
+    assert verify.run_check(check, BOUNDS)[2] == []
 
 
 FIELDS = (

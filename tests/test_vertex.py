@@ -292,6 +292,14 @@ _DIRECT = {
 }
 
 
+def test_operators_name_functions_of_the_module():
+    # the registry holds names, so it never keeps a function the module
+    # no longer binds
+    for name, (fn_name, takes_a, takes_k) in OPERATORS.items():
+        assert type(fn_name) is str and callable(getattr(vertex, fn_name)), name
+        assert type(takes_a) is bool and type(takes_k) is bool, name
+
+
 @pytest.mark.parametrize("name", list(OPERATORS))
 def test_apply_operator_dispatch(name):
     # named_operator is the dispatch behind ``symfunc apply --op``
