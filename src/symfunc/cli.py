@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--verbose", action="store_true", help="also print per-composition terms as JSON"
     )
+    p_count.set_defaults(usage_error=p_count.error)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--max-degree", type=int, default=4)
@@ -73,27 +74,19 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES),
         help="run only this suite (repeatable)",
     )
+    p_verify.set_defaults(usage_error=p_verify.error)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "expand":
-            expansion = expand(parse_expression(args.expr), args.basis)
-            if args.json:
-                print(json.dumps(expansion.to_json_obj(), indent=2))
-            else:
-                print(expansion.to_text())
-            return 0
-
-        if args.command == "apply":
+        if args.command in ("expand", "apply"):
             # bound before parsing: a parameter error wins over a parse error
-            op = named_operator(args.op, args.a, args.k)
-            result = op(parse_expression(args.expr))
-            expansion = expand(result, args.basis)
+            op = named_operator(args.op, args.a, args.k) if args.command == "apply" else None
+            g = parse_expression(args.expr)
+            expansion = expand(g if op is None else op(g), args.basis)
             if args.json:
                 print(json.dumps(expansion.to_json_obj(), indent=2))
             else:
@@ -109,7 +102,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "count":
             if args.n < 0 or args.k < 1:
-                parser.error("need --n >= 0 and --k >= 1")
+                args.usage_error("need --n >= 0 and --k >= 1")
             print(bounded_height_pairs(args.n, args.k, args.method))
             if args.verbose:
                 terms = [
@@ -121,9 +114,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "verify":
             if args.max_degree < 0:
-                parser.error("--max-degree must be non-negative")
+                args.usage_error("--max-degree must be non-negative")
             names = args.suite if args.suite else list(SUITES)
-            ok = run_suites(names, Bounds(args.max_degree, oracle=args.oracle), sys.stdout)
+            ok = run_suites(names, Bounds(args.max_degree, oracle=args.oracle))
             return 0 if ok else 1
 
     except ValueError as exc:  # ParseError is a ValueError

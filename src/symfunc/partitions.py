@@ -173,8 +173,6 @@ def _walk(rest: int, cap: int, room: int, prefix: list[int]) -> Iterator[Partiti
     if rest == 0:
         yield _wrap(tuple(prefix))
         return
-    if room <= 0 or cap <= 0:
-        return
     for first in range(min(cap, rest), 0, -1):
         if rest - first > first * (room - 1):
             continue

@@ -1,9 +1,11 @@
 """Independent ground truth: explicit polynomials in finitely many variables.
 
-Each basis element is realized directly from its combinatorial definition
-(orbit sums, subset/multiset sums, semistandard tableaux), with no use of
-the ring's transition machinery; realizing a SymFunc goes the other way,
-through its power-sum coordinates.  Comparing the two catches conversion
+Each basis element is realized directly from its combinatorial definition,
+from exponent vectors alone, with no use of the ring's transition
+machinery: m_lam is the orbit sum of x^lam, and p and e are products of
+the orbit sums p_n = m_(n) and e_n = m_(1^n); h sums every multiset of
+variables, and s every semistandard tableau.  Realizing a SymFunc goes the
+other way, through its power-sum coordinates.  Comparing the two catches conversion
 bugs: the projection onto v variables is injective on symmetric functions
 of degree <= v, so equality at v >= degree is conclusive.
 """
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Mapping, Optional
+from itertools import combinations_with_replacement, permutations
+from typing import Mapping, Optional
 
 from .partitions import Partition
 from .ring import BASES, SymFunc, basis_element
@@ -103,50 +105,10 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-def _power_sum(n: int, v: int) -> MultiPoly:
-    terms = {}
-    for i in range(v):
-        mono = [0] * v
-        mono[i] = n
-        terms[tuple(mono)] = 1
-    return MultiPoly(v, terms)
-
-
-def _elementary(n: int, v: int) -> MultiPoly:
-    terms: dict[Monomial, int] = {}
-    for subset in combinations(range(v), n):
-        mono = [0] * v
-        for i in subset:
-            mono[i] = 1
-        terms[tuple(mono)] = 1
-    return MultiPoly(v, terms)
-
-
 def _homogeneous(n: int, v: int) -> MultiPoly:
     # one monomial per multiset of n variables, each with coefficient 1
     multisets = combinations_with_replacement(range(v), n)
     return MultiPoly(v, {tuple(ms.count(i) for i in range(v)): 1 for ms in multisets})
-
-
-def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # permutations of a multiset without repetition (not v! with duplicates)
-    counts = sorted(set(values))
-    remaining = {x: values.count(x) for x in counts}
-    slot: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(slot) == len(values):
-            yield tuple(slot)
-            return
-        for x in counts:
-            if remaining[x]:
-                remaining[x] -= 1
-                slot.append(x)
-                yield from rec()
-                slot.pop()
-                remaining[x] += 1
-
-    return rec()
 
 
 def _monomial_orbit(lam: Partition, v: int) -> MultiPoly:
@@ -155,8 +117,7 @@ def _monomial_orbit(lam: Partition, v: int) -> MultiPoly:
     if len(lam) > v:
         return MultiPoly.zero(v)
     padded = tuple(lam) + (0,) * (v - len(lam))
-    terms = {mono: 1 for mono in _distinct_permutations(padded)}
-    return MultiPoly(v, terms)
+    return MultiPoly(v, dict.fromkeys(set(permutations(padded)), 1))
 
 
 def _schur_ssyt(lam: Partition, v: int) -> MultiPoly:
@@ -198,7 +159,7 @@ def _schur_ssyt(lam: Partition, v: int) -> MultiPoly:
 def _realize_p(lam: Partition, v: int) -> MultiPoly:
     out = MultiPoly.one(v)
     for part in lam:
-        out = out * _power_sum(part, v)
+        out = out * _monomial_orbit(Partition((part,)), v)  # p_n = m_(n)
     return out
 
 
@@ -217,10 +178,12 @@ def realize(b: str, lam: Partition, v: int) -> MultiPoly:
     if b == "s":
         return _schur_ssyt(lam, v)
     if b in ("e", "h"):
-        single = _elementary if b == "e" else _homogeneous
         out = MultiPoly.one(v)
         for part in lam:
-            out = out * single(part, v)
+            if b == "e":  # e_n = m_(1^n)
+                out = out * _monomial_orbit(Partition((1,) * part), v)
+            else:
+                out = out * _homogeneous(part, v)
         return out
     if b == "f":
         return realize_symfunc(basis_element("f", lam), v)

@@ -23,7 +23,7 @@ import time
 from functools import partial
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import polyoracle, tableaux, vertex
 from .partitions import (
@@ -951,9 +951,10 @@ def run_criterion(num: int) -> tuple[str, bool, list[str]]:
     return line, ok, failures
 
 
-def run_suites(
-    names: Iterable[str], bounds: Bounds, out: TextIO = sys.stdout
-) -> bool:
+def run_suites(names: Iterable[str], bounds: Bounds) -> bool:
+    """Run the named suites at ``bounds``, reporting each check on the
+    current sys.stdout; True iff every check passed."""
+    out = sys.stdout
     ok = True
     for name in names:
         if name not in SUITES:

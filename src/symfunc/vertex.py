@@ -34,6 +34,7 @@ terms of length <= k, and cs directly.
 
 rm_row_one and rm_row are built from rm_rows: the first is its k = 1 case,
 the second a signed sum of rm_rows(a, k + 1) after skewing by h_a^k.
+Likewise rs_row is rs_rows(a, 1).
 
 Three operators are the omega-images of three others and are computed that
 way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
@@ -60,7 +61,7 @@ from .partitions import (
     partitions_upto,
     z_value,
 )
-from .ring import BasisExpansion, SymFunc, basis_element, en, expand, hn, omega, pn, skew
+from .ring import BasisExpansion, SymFunc, basis_element, expand, omega, pn, skew
 
 
 def _sign(lam: Partition) -> int:
@@ -229,17 +230,15 @@ def cf_column(a: int, k: int, g: SymFunc) -> SymFunc:
 
 
 def rs_row(a: int, g: SymFunc) -> SymFunc:
-    """Schur row adder (Bernstein operator):
+    """Schur row adder (Bernstein operator), for a >= 0:
     sum over i >= 0 of (-1)^i h_{a+i} e_i^perp.
 
+    That is rs_rows(a, 1), whose terms s_{(a+i)} s_{(1^i)}^perp are these.
     Sends s_lam to s_{lam + (a)} when a >= lam_1; for smaller a the result
     is the straightened signed Schur function (possibly 0), matching
-    ``straighten((a,) + lam)``.  The sum makes sense for any integer a
-    (h of negative index is 0); the action law is stated for a >= 0.
+    ``straighten((a,) + lam)``.
     """
-    return _perp_sum(
-        g, range(max(0, -a), g.degree() + 1), en, lambda i: (-1) ** i * hn(a + i)
-    )
+    return rs_rows(a, 1, g)
 
 
 def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:

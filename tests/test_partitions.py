@@ -140,6 +140,8 @@ def test_partitions_of_order_and_bounds():
     assert list(partitions_of(3)) == [(3,), (2, 1), (1, 1, 1)]
     assert list(partitions_of(4, max_length=2)) == [(4,), (3, 1), (2, 2)]
     assert list(partitions_of(0)) == [()]
+    assert list(partitions_of(5, max_length=0)) == []
+    assert list(partitions_of(0, max_length=0)) == [()]
 
 
 @pytest.mark.parametrize("n, want", list(enumerate([1, 1, 2, 3, 5, 7, 11, 15, 22, 30])))

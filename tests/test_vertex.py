@@ -7,6 +7,7 @@ from symfunc import vertex
 from symfunc.partitions import (
     Partition,
     add_columns,
+    compositions_of,
     insert_parts,
     mult_count,
     partitions_of,
@@ -272,6 +273,30 @@ def test_operator_spec_validation():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             named_operator(name, a, k)
+
+
+# direct calls past named_operator, each with the exact refusal it must give
+_REFUSALS = {
+    "cp_column a": (lambda: cp_column(-1, 1, one), "a and k must be non-negative"),
+    "cp_column k": (lambda: cp_column(1, -1, one), "a and k must be non-negative"),
+    "rm_rows a": (lambda: rm_rows(-1, 1, one), "a and k must be non-negative"),
+    "rm_rows k": (lambda: rm_rows(1, -1, one), "a and k must be non-negative"),
+    "rs_rows a": (lambda: rs_rows(-1, 1, one), "a and k must be non-negative"),
+    "rs_rows k": (lambda: rs_rows(1, -1, one), "a and k must be non-negative"),
+    "rs_row a": (lambda: rs_row(-1, one), "a and k must be non-negative"),
+    "cs_column a": (lambda: cs_column(-1, 1, one), "a and k must be non-negative"),
+    "cs_column k": (lambda: cs_column(1, -1, one), "a and k must be non-negative"),
+    "partitions_of n": (lambda: partitions_of(-1), "n must be non-negative"),
+    "compositions_of n": (lambda: compositions_of(-1, 2), "n must be non-negative"),
+    "compositions_of k": (lambda: compositions_of(2, 0), "k must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_direct_calls_refuse_bad_parameters(case):
+    call, message = _REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # each registry entry against the direct call; a != k catches swapped parameters
