@@ -4,9 +4,9 @@ Every algebraic law the library promises is checked here on bounded index
 ranges, with exact equality everywhere.  A check is a generator over a
 Bounds value that yields once per case: None when the case passes, and the
 failure message, built only then, when it fails.  ``@check`` registers each
-check under its name, and the name's prefix before ": " is its suite.  One
-runner, run_check, counts the cases and collects the failures; run_suites
-and run_criterion report through it.
+check under its name, and the name's prefix before ": " is its suite in
+SUITES, the one list of suite names.  One runner, run_check, counts the
+cases and collects the failures; run_suites and run_criterion use it.
 
 Every range in Bounds follows from one depth: the command line runs depth
 4 by default (--max-degree), and the acceptance gate runs depth 8.
@@ -58,10 +58,9 @@ from .ring import (
 
 class Bounds:
     """Index ranges for the verification sweeps, all derived from one depth
-    ``degree`` (the command line's --max-degree).  ``oracle`` runs the
-    polynomial-oracle sweep at its full size: degree 6 in six variables."""
+    ``degree`` (the command line's --max-degree)."""
 
-    def __init__(self, degree: int = 4, oracle: bool = False) -> None:
+    def __init__(self, degree: int = 4) -> None:
         deep = degree >= 6
         self.degree = degree  # partition size for action laws and pairing tables
         self.identity_degree = min(degree, 6)  # total degree for operator identities
@@ -71,10 +70,8 @@ class Bounds:
         self.pairs_k = 5 if deep else 3
         self.lemma_n = min(degree + 1, 8)
         self.lemma_k = 4 if deep else 3
-        self.rsform_n = min(degree, 6)
         self.rsform_k = 3 if deep else 2
-        self.oracle_degree = 6 if oracle else min(degree, 6)
-        self.oracle_vars = max(self.oracle_degree, 2)
+        self.oracle_vars = max(self.identity_degree, 2)
 
 
 # suite name -> its checks in definition order, filled by @check
@@ -725,7 +722,7 @@ def check_schur_sum_lemma(b: Bounds) -> Iterator[Optional[str]]:
 
 @check("tableaux: width-zero Schur power expansion")
 def check_rsform(b: Bounds) -> Iterator[Optional[str]]:
-    for n in range(b.rsform_n + 1):
+    for n in range(b.identity_degree + 1):
         for k in range(1, b.rsform_k + 1):
             ok = tableaux.rs0_power_expansion(n, k) == vertex.rs_rows(0, k, hn(1) ** n)
             yield None if ok else f"width-zero power expansion mismatch at n={n}, k={k}"
@@ -773,18 +770,19 @@ def check_syt_brute(b: Bounds) -> Iterator[Optional[str]]:
 @check("oracle: basis conversions vs direct realizations")
 def check_oracle_conversions(b: Bounds) -> Iterator[Optional[str]]:
     for base in BASES:
-        for lam in partitions_upto(b.oracle_degree):
-            if polyoracle.check_conversion(base, lam, b.oracle_vars):
+        for lam in partitions_upto(b.identity_degree):
+            mismatch = polyoracle.first_mismatch(base, lam, b.oracle_vars)
+            if mismatch is None:
                 yield None
-            else:
-                mismatch = polyoracle.first_mismatch(base, lam, b.oracle_vars)
-                yield f"conversion of {base}_{lam} off at monomial {mismatch}"
+                continue
+            mono, direct, converted = mismatch
+            yield f"{base}_{lam} off at monomial {mono}: direct {direct}, converted {converted}"
 
 
 @check("oracle: realization is a ring homomorphism")
 def check_oracle_ring_hom(b: Bounds) -> Iterator[Optional[str]]:
     v = b.oracle_vars
-    n = b.oracle_degree
+    n = b.identity_degree
     for base in BASES:
         for lam1 in partitions_upto(n):
             g1 = basis_element(base, lam1)
@@ -800,7 +798,7 @@ def check_oracle_ring_hom(b: Bounds) -> Iterator[Optional[str]]:
 def check_oracle_symmetry(b: Bounds) -> Iterator[Optional[str]]:
     v = min(b.oracle_vars, 5)
     for base in BASES:
-        for lam in partitions_upto(min(b.oracle_degree, 5)):
+        for lam in partitions_upto(min(b.identity_degree, 5)):
             poly = polyoracle.realize(base, lam, v)
             for i in range(v - 1):
                 ok = poly.swap_vars(i, i + 1) == poly
@@ -951,14 +949,17 @@ def run_criterion(num: int) -> tuple[str, bool, list[str]]:
     return line, ok, failures
 
 
-def run_suites(names: Iterable[str], bounds: Bounds) -> bool:
-    """Run the named suites at ``bounds``, reporting each check on the
-    current sys.stdout; True iff every check passed."""
-    out = sys.stdout
-    ok = True
+def run_suites(names: Optional[Iterable[str]], bounds: Bounds) -> bool:
+    """Run the named suites (all when ``names`` is None) at ``bounds``,
+    reporting each check on the current sys.stdout; True iff every check
+    passed.  An unknown name raises ValueError before any check runs."""
+    names = list(SUITES if names is None else names)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    out = sys.stdout
+    ok = True
+    for name in names:
         for fn in SUITES[name]:
             check_name, cases, failures = run_check(fn, bounds)
             if failures:

@@ -228,9 +228,9 @@ def test_cli_errors_are_pinned(capsys, monkeypatch):
     # stderr: for apply, an unknown --op, every missing or forbidden --a and
     # --k, the order in which they are reported, negative and zero parameters,
     # and a parameter error that wins over a parse error; then an unclosed
-    # bracket, and count and verify refusing out-of-range numbers, byte for
-    # byte.  argparse wraps its usage text to the terminal width, so fix the
-    # width.
+    # bracket, count and verify refusing out-of-range numbers, and an unknown
+    # suite refused before a known one runs, byte for byte.  argparse wraps
+    # its usage text to the terminal width, so fix the width.
     monkeypatch.setenv("COLUMNS", "80")
     pinned = (Path(__file__).parent / "cli_errors.txt").read_text()
     out = ""
@@ -245,6 +245,24 @@ def test_cli_errors_are_pinned(capsys, monkeypatch):
             captured = capsys.readouterr()
             assert captured.out == "", line
             out += f"{line}\nexit {code}\n{captured.err}"
+    assert out == pinned
+
+
+def test_cli_help_is_pinned(capsys, monkeypatch):
+    # Each "$ symfunc ... --help" line of the pinned file and the help text
+    # it printed, at a fixed terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = (Path(__file__).parent / "cli_help.txt").read_text()
+    out = ""
+    for line in pinned.splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])
+            assert argv[0] == "symfunc"
+            with pytest.raises(SystemExit) as exc:
+                main(argv[1:])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.err) == (0, ""), line
+            out += line + "\n" + captured.out
     assert out == pinned
 
 
@@ -269,3 +287,9 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 def test_package_import_leaves_out_the_oracle():
     assert _loaded_by_import("symfunc", ("symfunc.polyoracle",)) == "[]\n"
+
+
+def test_cli_import_leaves_out_the_checks():
+    # Only the verify command loads them.
+    names = ("symfunc.verify", "symfunc.polyoracle")
+    assert _loaded_by_import("symfunc.cli", names) == "[]\n"

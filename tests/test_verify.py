@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from symfunc import cli, verify, vertex
+from symfunc import cli, polyoracle, tableaux, verify, vertex
 from symfunc.ring import basis_element
 from symfunc.verify import Bounds
 
@@ -104,37 +104,51 @@ def test_replaced_operator_is_the_one_applied(monkeypatch, capsys):
 
 FIELDS = (
     "degree", "identity_degree", "a_max", "k_max", "pairs_n", "pairs_k",
-    "lemma_n", "lemma_k", "rsform_n", "rsform_k", "oracle_degree", "oracle_vars",
+    "lemma_n", "lemma_k", "rsform_k", "oracle_vars",
 )
 
-# (depth, oracle, every range in FIELDS order): the sweeps that
-# `symfunc verify --max-degree D [--oracle]` has always run, written out.
+# (depth, every range in FIELDS order): the sweeps that
+# `symfunc verify --max-degree D` has always run, written out.
 SCHEDULE = (
-    (0, False, (0, 0, 2, 2, 6, 3, 1, 3, 0, 2, 0, 2)),
-    (0, True, (0, 0, 2, 2, 6, 3, 1, 3, 0, 2, 6, 6)),
-    (1, False, (1, 1, 2, 2, 6, 3, 2, 3, 1, 2, 1, 2)),
-    (1, True, (1, 1, 2, 2, 6, 3, 2, 3, 1, 2, 6, 6)),
-    (2, False, (2, 2, 2, 2, 6, 3, 3, 3, 2, 2, 2, 2)),
-    (2, True, (2, 2, 2, 2, 6, 3, 3, 3, 2, 2, 6, 6)),
-    (3, False, (3, 3, 2, 2, 6, 3, 4, 3, 3, 2, 3, 3)),
-    (3, True, (3, 3, 2, 2, 6, 3, 4, 3, 3, 2, 6, 6)),
-    (4, False, (4, 4, 2, 2, 6, 3, 5, 3, 4, 2, 4, 4)),
-    (4, True, (4, 4, 2, 2, 6, 3, 5, 3, 4, 2, 6, 6)),
-    (5, False, (5, 5, 2, 2, 7, 3, 6, 3, 5, 2, 5, 5)),
-    (5, True, (5, 5, 2, 2, 7, 3, 6, 3, 5, 2, 6, 6)),
-    (6, False, (6, 6, 3, 4, 8, 5, 7, 4, 6, 3, 6, 6)),
-    (6, True, (6, 6, 3, 4, 8, 5, 7, 4, 6, 3, 6, 6)),
-    (7, False, (7, 6, 3, 4, 9, 5, 8, 4, 6, 3, 6, 6)),
-    (7, True, (7, 6, 3, 4, 9, 5, 8, 4, 6, 3, 6, 6)),
-    (8, False, (8, 6, 3, 4, 10, 5, 8, 4, 6, 3, 6, 6)),
-    (8, True, (8, 6, 3, 4, 10, 5, 8, 4, 6, 3, 6, 6)),
-    (9, False, (9, 6, 3, 4, 11, 5, 8, 4, 6, 3, 6, 6)),
-    (9, True, (9, 6, 3, 4, 11, 5, 8, 4, 6, 3, 6, 6)),
+    (0, (0, 0, 2, 2, 6, 3, 1, 3, 2, 2)),
+    (1, (1, 1, 2, 2, 6, 3, 2, 3, 2, 2)),
+    (2, (2, 2, 2, 2, 6, 3, 3, 3, 2, 2)),
+    (3, (3, 3, 2, 2, 6, 3, 4, 3, 2, 3)),
+    (4, (4, 4, 2, 2, 6, 3, 5, 3, 2, 4)),
+    (5, (5, 5, 2, 2, 7, 3, 6, 3, 2, 5)),
+    (6, (6, 6, 3, 4, 8, 5, 7, 4, 3, 6)),
+    (7, (7, 6, 3, 4, 9, 5, 8, 4, 3, 6)),
+    (8, (8, 6, 3, 4, 10, 5, 8, 4, 3, 6)),
+    (9, (9, 6, 3, 4, 11, 5, 8, 4, 3, 6)),
 )
 
 
-@pytest.mark.parametrize("degree, oracle, want", SCHEDULE)
-def test_bounds_follow_the_pinned_schedule(degree, oracle, want):
-    bounds = Bounds(degree, oracle=oracle)
+@pytest.mark.parametrize("degree, want", SCHEDULE)
+def test_bounds_follow_the_pinned_schedule(degree, want):
+    bounds = Bounds(degree)
     assert tuple(getattr(bounds, f) for f in FIELDS) == want
     assert sorted(vars(bounds)) == sorted(FIELDS)
+
+
+def test_catalan_check_reports_both_faults(monkeypatch):
+    # One too many pairs is neither the Catalan number nor its frozen value.
+    original = tableaux.bounded_height_pairs
+    monkeypatch.setattr(tableaux, "bounded_height_pairs", lambda *args: original(*args) + 1)
+    _, cases, bad = verify.run_check(verify.check_pairs_catalan, BOUNDS)
+    assert bad == [
+        f"height-2 count is not Catalan at n={n}; "
+        f"height-2 count differs from frozen Catalan value at n={n}"
+        for n in range(cases)
+    ]
+
+
+def test_oracle_conversion_report_names_the_monomial(monkeypatch):
+    # Realizing h as e breaks h_2 = x1^2 + x1 x2 + x2^2 (h_1 = e_1 and
+    # h_11 = e_11 in two variables still hold); the report gives the first
+    # differing monomial and both coefficients.
+    original = polyoracle.realize
+    monkeypatch.setattr(
+        polyoracle, "realize", lambda b, lam, v: original("e" if b == "h" else b, lam, v)
+    )
+    _, _, bad = verify.run_check(verify.check_oracle_conversions, Bounds(2))
+    assert bad == ["h_[2] off at monomial (0, 2): direct 0, converted 1"]
