@@ -1,10 +1,13 @@
 """Parser for the symmetric-function expression grammar.
 
-Expressions are sums of terms; a term is an optional rational coefficient
-joined by ``*`` to a product of basis atoms ``b[parts]`` with b one of
-p, m, e, h, s, f, e.g. ``3/2*s[2,1] - p[3]*h[1]``.  ``h[1]^4`` is power
-shorthand and a bare rational like ``1`` is a constant.  Whitespace between
-tokens is ignored.  Printing is the inverse, via BasisExpansion.to_text().
+Expressions are sums of terms; a term is a product, joined by ``*``, of
+rationals and basis atoms ``b[parts]`` with b one of p, m, e, h, s, f,
+e.g. ``3/2*s[2,1] - p[3]*h[1]``.  ``h[1]^4`` and ``2^3`` are power
+shorthand and a bare rational like ``1`` is a constant.  Numbers are
+decimal digits, the characters int() reads.  Whitespace between tokens is
+ignored.  A term's rationals multiply into one coefficient and its atoms
+into one product, and the expression is one SymFunc.sum of those pairs.
+Printing is the inverse, via BasisExpansion.to_text().
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .partitions import Partition
-from .ring import BASES, SymFunc, basis_element
+from .ring import BASES, ScalarLike, SymFunc, basis_element
 
 
 class ParseError(ValueError):
@@ -48,13 +51,13 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.i
-        while self.i < len(self.src) and self.src[self.i].isdigit():
+        while self.i < len(self.src) and self.src[self.i].isdecimal():
             self.i += 1
         if self.i == start:
             raise self.error("expected an integer")
         return int(self.src[start : self.i])
 
-    def rational(self) -> Fraction:
+    def rational(self) -> ScalarLike:
         num = self.integer()
         if self.peek() == "/":
             self.i += 1
@@ -63,7 +66,7 @@ class _Parser:
             if den == 0:
                 raise ParseError("zero denominator", pos)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def atom(self) -> SymFunc:
         self.skip_ws()
@@ -86,33 +89,29 @@ class _Parser:
             raise ParseError(str(exc), pos) from None
         return basis_element(b, lam)
 
-    def factor(self) -> SymFunc:
-        ch = self.peek()
-        if ch.isdigit():
-            base: SymFunc | Fraction = self.rational()
-        else:
-            base = self.atom()
+    def factor(self) -> SymFunc | ScalarLike:
+        base = self.rational() if self.peek().isdecimal() else self.atom()
         if self.peek() == "^":
             self.i += 1
-            exp = self.integer()
-            if isinstance(base, Fraction):
-                return SymFunc.one() * (base ** exp)
-            return base ** exp
-        if isinstance(base, Fraction):
-            return SymFunc.one() * base
+            return base ** self.integer()
         return base
 
-    def term(self) -> SymFunc:
-        out = self.factor()
-        while self.peek() == "*":
+    def term(self) -> tuple[ScalarLike, SymFunc]:
+        coeff, atoms = 1, None
+        while True:
+            f = self.factor()
+            if isinstance(f, SymFunc):
+                atoms = f if atoms is None else atoms * f
+            else:
+                coeff *= f
+            if self.peek() != "*":
+                return coeff, SymFunc.one() if atoms is None else atoms
             self.i += 1
-            out = out * self.factor()
-        return out
 
     def expression(self) -> SymFunc:
         return SymFunc.sum(self.signed_terms())
 
-    def signed_terms(self) -> Iterator[SymFunc]:
+    def signed_terms(self) -> Iterator[tuple[ScalarLike, SymFunc]]:
         first = True
         while True:
             ch = self.peek()
@@ -121,8 +120,8 @@ class _Parser:
             elif not first:
                 return
             first = False
-            term = self.term()
-            yield -term if ch == "-" else term
+            coeff, atoms = self.term()
+            yield -coeff if ch == "-" else coeff, atoms
 
 
 def parse_expression(src: str) -> SymFunc:

@@ -4,9 +4,11 @@ Every symmetric function is stored in power-sum coordinates, as integer
 numerators over one shared denominator: a SymFunc is a finite map
 {partition -> nonzero int} with a denominator D >= 1, representing
 sum (c_lam / D) * p_lam, always reduced so that D and the numerators have
-no common factor; that form is canonical.  A dict still being added to may
-hold zeros; SymFunc._reduced drops them once, where the value is built.  In
-these coordinates the product is a multiset union of indices, the Hall inner
+no common factor; that form is canonical.  Every linear combination, from
+a + b to an operator's signed sum and a parsed expression, is one SymFunc.sum
+of (coefficient, function) pairs: one pass into one dict over one lcm of
+the denominators, whose zeros SymFunc._reduced drops once.  In these
+coordinates the product is a multiset union of indices, the Hall inner
 product is diagonal (<p_lam, p_mu> = z_lam * delta), the involution omega is
 a sign flip, and skewing by p_lam deletes the parts of lam from each index
 mu, scaled by the integer z_mu / z_{mu - lam}, so every operation runs on
@@ -122,22 +124,28 @@ class SymFunc:
         return cls._raw({EMPTY: 1})
 
     @classmethod
-    def sum(cls, terms: Iterable["SymFunc"]) -> "SymFunc":
-        """The sum of ``terms`` over the lcm of their denominators, accumulated
-        in place into one dict, which starts as a copy of a term's dict so
-        that no shared dict is written."""
-        terms = [t for t in terms if t._terms]
-        if len(terms) < 2:
-            return terms[0] if terms else cls.zero()
-        den = lcm(*(t._den for t in terms))
-        first = terms[0]
-        scale = den // first._den
-        out = dict(first._terms) if scale == 1 else {lam: c * scale for lam, c in first._terms.items()}
-        for term in terms[1:]:
-            scale = den // term._den
-            unit = scale == 1
-            for lam, c in term._terms.items():
-                out[lam] = out.get(lam, 0) + (c if unit else c * scale)
+    def sum(cls, pairs: Iterable[tuple[ScalarLike, "SymFunc"]]) -> "SymFunc":
+        """The linear combination of ``pairs`` (c, g), for int or Fraction c,
+        in one pass into one dict over the lcm of every c.denominator * g._den.
+        Zero coefficients and zero functions are skipped, a lone g with c = 1
+        comes back whole, and no input's dict is written."""
+        pairs = [(c, g) for c, g in pairs if c and g._terms]
+        if not pairs:
+            return cls.zero()
+        if len(pairs) == 1 and pairs[0][0] == 1:
+            return pairs[0][1]
+        den = lcm(*(c.denominator * g._den for c, g in pairs))
+        out: _IntDict = {}
+        for c, g in pairs:
+            scale = c.numerator * (den // (c.denominator * g._den))
+            if not out:  # the first term: a copy, so no input's dict is written
+                out = dict(g._terms) if scale == 1 else {lam: v * scale for lam, v in g._terms.items()}
+            elif scale == 1:
+                for lam, v in g._terms.items():
+                    out[lam] = out.get(lam, 0) + v
+            else:
+                for lam, v in g._terms.items():
+                    out[lam] = out.get(lam, 0) + v * scale
         return cls._reduced(out, den)
 
     def items(self) -> Iterator[tuple[Partition, Fraction]]:
@@ -166,10 +174,10 @@ class SymFunc:
         return Fraction(self._terms.get(EMPTY, 0), self._den)
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
-        return SymFunc.sum((self, other))
+        return SymFunc.sum(((1, self), (1, other)))
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return SymFunc.sum((self, -other))
+        return SymFunc.sum(((1, self), (-1, other)))
 
     def __neg__(self) -> "SymFunc":
         return SymFunc._raw({lam: -c for lam, c in self._terms.items()}, self._den)
@@ -177,16 +185,9 @@ class SymFunc:
     def __mul__(self, other: Union["SymFunc", ScalarLike]) -> "SymFunc":
         if isinstance(other, SymFunc):
             return _product(self, other)
-        if other == 1:  # the operator sums scale by signs; SymFunc is immutable
-            return self
-        if other == -1:
-            return -self
-        c = Fraction(other)
-        if not c:
-            return SymFunc.zero()
-        num = c.numerator
-        terms = {lam: v * num for lam, v in self._terms.items()}
-        return SymFunc._reduced(terms, self._den * c.denominator)
+        if isinstance(other, (int, Fraction)):
+            return SymFunc.sum(((other, self),))
+        return NotImplemented
 
     def __rmul__(self, other: ScalarLike) -> "SymFunc":
         return self.__mul__(other)
@@ -230,7 +231,7 @@ class BasisExpansion(NamedTuple):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def to_symfunc(self) -> SymFunc:
-        return SymFunc.sum(c * basis_element(self.basis, lam) for lam, c in self.terms.items())
+        return SymFunc.sum((c, basis_element(self.basis, lam)) for lam, c in self.terms.items())
 
     def to_text(self) -> str:
         """Render in the expression grammar, e.g. ``3/2*s[2,1] - p[3]``."""
@@ -288,7 +289,7 @@ def jacobi_trudi(seq: Iterable[int]) -> SymFunc:
             sub = dets[mask ^ (1 << j)]
             if idx:
                 sub = _product(_basis_p("h", _wrap((idx,))), sub)
-            terms.append(sub if (rows + rank) % 2 == 0 else -sub)
+            terms.append(((-1) ** (rows + rank), sub))
         dets[mask] = SymFunc.sum(terms)
     return dets[(1 << size) - 1]
 

@@ -106,7 +106,7 @@ def bounded_height_schur_sum(n: int, k: int, method: str = "formula") -> SymFunc
     if method != "formula":
         raise ValueError("method must be 'formula' or 'operator'")
     return SymFunc.sum(
-        _multinomial(n, s) * det
+        (_multinomial(n, s), det)
         for s in compositions_of(n, k)
         if not (det := jacobi_trudi(s)).is_zero
     )
@@ -123,7 +123,7 @@ def rs0_power_expansion(n: int, k: int) -> SymFunc:
     sum of degree n - l.  Must agree with rs_rows(0, k, h_1^n).
     """
     return SymFunc.sum(
-        (-1) ** (n - l) * math.comb(n, l) * hn(1) ** l * bounded_height_schur_sum(n - l, k)
+        ((-1) ** (n - l) * math.comb(n, l), hn(1) ** l * bounded_height_schur_sum(n - l, k))
         for l in range(n + 1)
     )
 

@@ -223,7 +223,7 @@ def check_jacobi_trudi(b: Bounds) -> Iterator[Optional[str]]:
                 return SymFunc.one()
             i = rows[0]
             return SymFunc.sum(
-                (-1) ** t * hn(idx) * minor(rows[1:], cols[:t] + cols[t + 1 :])
+                ((-1) ** t, hn(idx) * minor(rows[1:], cols[:t] + cols[t + 1 :]))
                 for t, j in enumerate(cols)
                 if (idx := lam[j] - (j + 1) + i) >= 0
             )
@@ -238,14 +238,14 @@ def check_jacobi_trudi(b: Bounds) -> Iterator[Optional[str]]:
 @check("ring: alternating e/h convolution vanishes")
 def check_alternating_eh(b: Bounds) -> Iterator[Optional[str]]:
     for n in range(1, max(b.degree, 8) + 1):
-        total = SymFunc.sum((-1) ** r * en(r) * hn(n - r) for r in range(n + 1))
+        total = SymFunc.sum(((-1) ** r, en(r) * hn(n - r)) for r in range(n + 1))
         yield None if total.is_zero else f"sum_r (-1)^r e_r h_(n-r) != 0 at n={n}"
 
 
 @check("ring: e_n as signed multinomial h-combination")
 def check_e_to_h(b: Bounds) -> Iterator[Optional[str]]:
     for n in range(1, max(b.degree, 8) + 1):
-        total = SymFunc.sum(r_coefficient(mu) * basis_element("h", mu) for mu in partitions_of(n))
+        total = SymFunc.sum((r_coefficient(mu), basis_element("h", mu)) for mu in partitions_of(n))
         yield None if total == en(n) else f"e_{n} != sum r_mu h_mu"
 
 
@@ -285,7 +285,7 @@ def check_coproduct_rules(b: Bounds) -> Iterator[Optional[str]]:
             prod = p1 * p2
             for k in range(1, sum(lam1) + sum(lam2) + 1):
                 want_h, want_e = (
-                    SymFunc.sum(skew(x(i), p1) * skew(x(k - i), p2) for i in range(k + 1))
+                    SymFunc.sum((1, skew(x(i), p1) * skew(x(k - i), p2)) for i in range(k + 1))
                     for x in (hn, en)
                 )
                 ok = skew(hn(k), prod) == want_h
@@ -310,10 +310,10 @@ def check_power_commutation(b: Bounds) -> Iterator[Optional[str]]:
     for mu, g in _basis_upto("p", n):
         for lam, plam in _basis_upto("p", n):
             for k in range(1, n + 1):
-                terms = [pn(k) * skew(plam, g)]
+                terms = [(1, pn(k) * skew(plam, g))]
                 if cnt := mult_count(lam, k):
                     reduced = basis_element("p", remove_parts(lam, Partition((k,))))
-                    terms.append(k * cnt * skew(reduced, g))
+                    terms.append((k * cnt, skew(reduced, g)))
                 ok = skew(plam, pn(k) * g) == SymFunc.sum(terms)
                 yield None if ok else f"p_lam-skew commutation at lam={lam}, k={k}, p_{mu}"
 
@@ -336,7 +336,7 @@ def _check_skew_past_monomial(
             target = basis_element("p", plam)
             for k in range(1, n + 1):
                 rhs = SymFunc.sum(
-                    c * basis_element("m", reduced) * skew(x_n(k - sum(mu)), target)
+                    (c, basis_element("m", reduced) * skew(x_n(k - sum(mu)), target))
                     for mu, c in shed(k)
                     if (reduced := remove_parts(lam, mu)) is not None
                 )
@@ -366,8 +366,10 @@ def check_monomial_product_rule(b: Bounds) -> Iterator[Optional[str]]:
         for lam in partitions_upto(b.identity_degree):
             lhs = basis_element("m", Partition((k,))) * basis_element("m", lam)
             rhs = SymFunc.sum(
-                (1 + mult_count(lam, k + i))
-                * basis_element("m", insert_parts(reduced, Partition((k + i,))))
+                (
+                    1 + mult_count(lam, k + i),
+                    basis_element("m", insert_parts(reduced, Partition((k + i,)))),
+                )
                 for i in range(sum(lam) + 1)
                 if (reduced := remove_parts(lam, Partition((i,) if i else ()))) is not None
             )
@@ -451,16 +453,17 @@ def _signed_perp_sum(
     g: SymFunc,
     lams: Iterable[Partition],
     by: Callable[[Partition], SymFunc],
-    image: Callable[[Partition], SymFunc],
+    image: Callable[[Partition], tuple[int, SymFunc]],
 ) -> SymFunc:
-    """sum over lam in ``lams`` of (-1)^{|lam|} image(lam) * by(lam)^perp g,
-    building image(lam) only where the skew is nonzero.  The oracles keep
-    this loop of their own, apart from the one the operators sum through, so
-    that a fault in that loop cannot show on both sides of a check."""
+    """sum over lam in ``lams`` of (-1)^{|lam|} c * f * by(lam)^perp g for
+    (c, f) = image(lam), built only where the skew is nonzero.  The oracles
+    keep this loop of their own, apart from the one the operators sum
+    through, so that a fault in that loop cannot show on both sides of a check."""
     return SymFunc.sum(
-        (-1) ** sum(lam) * image(lam) * skewed
+        ((-1) ** sum(lam) * c, f * skewed)
         for lam in lams
         if not (skewed := skew(by(lam), g)).is_zero
+        for c, f in (image(lam),)
     )
 
 
@@ -522,7 +525,7 @@ def ce_column_literal(k: int, g: SymFunc) -> SymFunc:
         g,
         partitions_upto(g.degree(), max_length=k),
         partial(basis_element, "f"),
-        lambda lam: basis_element("h", add_columns(lam, 1, k)),
+        lambda lam: (1, basis_element("h", add_columns(lam, 1, k))),
     )
 
 
@@ -531,14 +534,16 @@ def cf_column_literal(a: int, k: int, g: SymFunc) -> SymFunc:
     for a >= 1; at a = 0 the forgotten expansion projected onto length <= k."""
     if a == 0:
         return SymFunc.sum(
-            c * basis_element("f", mu) for mu, c in expand(g, "f").terms.items() if len(mu) <= k
+            (c, basis_element("f", mu)) for mu, c in expand(g, "f").terms.items() if len(mu) <= k
         )
     return _signed_perp_sum(
         g,
         partitions_upto(g.degree()),
         partial(basis_element, "h"),
-        lambda lam: binomial(mult_count(lam, a) + k, k)
-        * basis_element("f", insert_parts(lam, Partition((a,) * k))),
+        lambda lam: (
+            binomial(mult_count(lam, a) + k, k),
+            basis_element("f", insert_parts(lam, Partition((a,) * k))),
+        ),
     )
 
 
@@ -547,12 +552,14 @@ def rf_row_literal(a: int, g: SymFunc) -> SymFunc:
     (-1)^{|lam| + k} f_{lam + a^{k+1}} h_lam^perp (e_a^k)^perp, for a >= 1."""
     deg = g.degree()
     return SymFunc.sum(
-        (-1) ** k
-        * _signed_perp_sum(
-            skew(basis_element("e", Partition((a,) * k)), g),
-            partitions_upto(deg - a * k, max_length=k + 1),
-            partial(basis_element, "h"),
-            lambda lam: basis_element("f", add_columns(lam, a, k + 1)),
+        (
+            (-1) ** k,
+            _signed_perp_sum(
+                skew(basis_element("e", Partition((a,) * k)), g),
+                partitions_upto(deg - a * k, max_length=k + 1),
+                partial(basis_element, "h"),
+                lambda lam: (1, basis_element("f", add_columns(lam, a, k + 1))),
+            ),
         )
         for k in range(deg // a + 1)
     )
@@ -598,9 +605,9 @@ def _check_paired(
             for lam, g in _basis_upto("p", b.identity_degree):
                 mus = list(partitions_upto(g.degree(), max_length=k if short else None))
                 for x, by, y, basis in sides:
-                    image = partial(vertex._image, getattr(vertex, y), params, basis)
+                    op = getattr(vertex, y)
                     ok = getattr(vertex, x)(*params, g) == _signed_perp_sum(
-                        g, mus, _SKEW_BY[by], image
+                        g, mus, _SKEW_BY[by], lambda mu: (1, vertex._image(op, params, basis, mu))
                     )
                     yield None if ok else (
                         f"{_LABEL[x]} != sum {_LABEL[y]}({basis}) {by}-skew at {at}, p_{lam}"
@@ -713,7 +720,7 @@ def check_schur_sum_lemma(b: Bounds) -> Iterator[Optional[str]]:
             formula = tableaux.bounded_height_schur_sum(n, k, "formula")
             operator = tableaux.bounded_height_schur_sum(n, k, "operator")
             direct = SymFunc.sum(
-                tableaux.syt_count(lam) * basis_element("s", lam)
+                (tableaux.syt_count(lam), basis_element("s", lam))
                 for lam in partitions_of(n, max_length=k)
             )
             ok = formula == operator == direct
@@ -838,7 +845,7 @@ def check_cli_examples(b: Bounds) -> Iterator[Optional[str]]:
         ["apply", "--op", "CS", "--a", "0", "--k", "2", "h[1]^4", "--basis", "s"]
     )
     want = SymFunc.sum(
-        tableaux.syt_count(lam) * basis_element("s", lam) for lam in partitions_of(4, max_length=2)
+        (tableaux.syt_count(lam), basis_element("s", lam)) for lam in partitions_of(4, max_length=2)
     )
     ok = code == 0 and out == expand(want, "s").to_text() + "\n"
     yield None if ok else f"apply example produced {out!r} (exit {code})"
@@ -950,10 +957,11 @@ def run_criterion(num: int) -> tuple[str, bool, list[str]]:
 
 
 def run_suites(names: Optional[Iterable[str]], bounds: Bounds) -> bool:
-    """Run the named suites (all when ``names`` is None) at ``bounds``,
-    reporting each check on the current sys.stdout; True iff every check
-    passed.  An unknown name raises ValueError before any check runs."""
-    names = list(SUITES if names is None else names)
+    """Run the named suites (all when ``names`` is None), each once where it
+    is first named, at ``bounds``, reporting each check on the current
+    sys.stdout; True iff every check passed.  An unknown name raises
+    ValueError before any check runs."""
+    names = list(dict.fromkeys(SUITES if names is None else names))
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")

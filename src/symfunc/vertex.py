@@ -69,14 +69,15 @@ def _sign(lam: Partition) -> int:
 
 
 def _perp_sum(g: SymFunc, lams: Iterable, by: Callable, image: Callable) -> SymFunc:
-    """sum over lam in ``lams`` of image(lam) * by(lam)^perp g, building
-    image(lam) only where the skew is nonzero."""
+    """sum over lam in ``lams`` of c * f * by(lam)^perp g for the pair
+    (c, f) = image(lam), built only where the skew is nonzero."""
     if g.is_zero:  # rm_row's inner skews often vanish; skip the walk over lams
         return g
     return SymFunc.sum(
-        image(lam) * skewed
+        (c, f * skewed)
         for lam in lams
         if not (skewed := skew(by(lam), g)).is_zero
+        for c, f in (image(lam),)
     )
 
 
@@ -95,11 +96,11 @@ def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
     if k == 0 or a == 0 or g.is_zero:
         return g
 
-    def image(lam: Partition) -> SymFunc:
+    def image(lam: Partition) -> tuple[Fraction, SymFunc]:
         coeff = pn(a) ** (k - len(lam))
         for part in lam:
             coeff = coeff * (pn(part + a) - pn(part) * pn(a))
-        return coeff * Fraction(1, z_value(lam))
+        return Fraction(1, z_value(lam)), coeff
 
     return _perp_sum(
         g, partitions_upto(g.degree(), max_length=k), lambda lam: basis_element("p", lam), image
@@ -115,7 +116,7 @@ def ch_column(k: int, g: SymFunc) -> SymFunc:
         g,
         partitions_upto(g.degree(), max_length=k),
         lambda lam: basis_element("m", lam),
-        lambda lam: _sign(lam) * basis_element("e", add_columns(lam, 1, k)),
+        lambda lam: (_sign(lam), basis_element("e", add_columns(lam, 1, k))),
     )
 
 
@@ -156,7 +157,7 @@ def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
         g,
         partitions_upto(g.degree(), max_length=k),
         lambda lam: basis_element("e", lam),
-        lambda lam: _sign(lam) * basis_element("m", add_columns(lam, a, k)),
+        lambda lam: (_sign(lam), basis_element("m", add_columns(lam, a, k))),
     )
 
 
@@ -172,7 +173,7 @@ def rm_row(a: int, g: SymFunc) -> SymFunc:
     if a < 1:
         raise ValueError("a must be >= 1")
     return SymFunc.sum(
-        (-1) ** k * rm_rows(a, k + 1, skew(basis_element("h", Partition((a,) * k)), g))
+        ((-1) ** k, rm_rows(a, k + 1, skew(basis_element("h", Partition((a,) * k)), g)))
         for k in range(g.degree() // a + 1)
     )
 
@@ -210,9 +211,10 @@ def cm_column(a: int, k: int, g: SymFunc) -> SymFunc:
         g,
         partitions_upto(g.degree()),
         lambda lam: basis_element("e", lam),
-        lambda lam: _sign(lam)
-        * binomial(mult_count(lam, a) + k, k)
-        * basis_element("m", insert_parts(lam, column)),
+        lambda lam: (
+            _sign(lam) * binomial(mult_count(lam, a) + k, k),
+            basis_element("m", insert_parts(lam, column)),
+        ),
     )
 
 
@@ -252,7 +254,7 @@ def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
         g,
         partitions_upto(g.degree(), max_length=k),
         lambda lam: basis_element("s", conjugate(lam)),
-        lambda lam: _sign(lam) * basis_element("s", add_columns(lam, a, k)),
+        lambda lam: (_sign(lam), basis_element("s", add_columns(lam, a, k))),
     )
 
 
@@ -280,7 +282,7 @@ def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
         g,
         partitions_upto(g.degree()),
         lambda lam: basis_element("s", conjugate(lam)),
-        lambda lam: _sign(lam) * _image(rs_rows, (a, k), "s", lam),
+        lambda lam: (_sign(lam), _image(rs_rows, (a, k), "s", lam)),
     )
 
 
@@ -299,8 +301,8 @@ _TX_PAIRS: dict[str, tuple[Callable[[Partition], SymFunc], Callable[[Partition],
     "hm": (lambda lam: basis_element("e", lam), lambda lam: basis_element("m", lam)),
     "ef": (lambda lam: basis_element("h", lam), lambda lam: basis_element("f", lam)),
     "pz": (
-        lambda lam: omega(basis_element("p", lam)) * Fraction(1, z_value(lam)),
-        lambda lam: basis_element("p", lam),
+        lambda lam: omega(basis_element("p", lam)),
+        lambda lam: basis_element("p", lam) * Fraction(1, z_value(lam)),
     ),
 }
 
@@ -312,7 +314,7 @@ def t_minus_x_sum(g: SymFunc, pair: str = "ss") -> SymFunc:
     if pair not in _TX_PAIRS:
         raise ValueError(f"pair must be one of {tuple(_TX_PAIRS)}")
     mult, by = _TX_PAIRS[pair]
-    return _perp_sum(g, partitions_upto(g.degree()), by, lambda lam: _sign(lam) * mult(lam))
+    return _perp_sum(g, partitions_upto(g.degree()), by, lambda lam: (_sign(lam), mult(lam)))
 
 
 def everything_op(
@@ -326,7 +328,7 @@ def everything_op(
         image = assignment(mu)
         if image is None:
             raise LookupError(f"assignment undefined for partition {mu}")
-        terms.append(c * image)
+        terms.append((c, image))
     return SymFunc.sum(terms)
 
 

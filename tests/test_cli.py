@@ -126,6 +126,23 @@ def test_verify_single_suite(capsys):
     assert "FAIL" not in out
 
 
+def test_repeated_suite_runs_once(capsys):
+    # a suite named twice runs once, where it is first named
+    _, once, _ = run_cli(capsys, "verify", "--suite", "partitions", "--max-degree", "0")
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "partitions", "--suite", "partitions", "--max-degree", "0"
+    )
+    assert code == 0
+    assert out == once
+    assert len(out.splitlines()) == 6
+    _, both, _ = run_cli(
+        capsys, "verify", "--suite", "cli", "--suite", "partitions", "--suite", "cli",
+        "--max-degree", "0",
+    )
+    _, cli_only, _ = run_cli(capsys, "verify", "--suite", "cli", "--max-degree", "0")
+    assert both == cli_only + once
+
+
 def test_json_byte_stability(capsys):
     runs = []
     for _ in range(2):

@@ -49,6 +49,47 @@ def test_parse_errors(src):
     assert "position" in str(exc.value)
 
 
+def test_only_decimal_digits_are_numbers():
+    # '²' is a digit to str.isdigit but not to int(); other scripts' decimal
+    # digits are numbers, as int() reads them
+    for src, pos in (("p[²]", 2), ("²", 0), ("h[1]^²", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(src)
+        assert exc.value.pos == pos, src
+    assert parse_expression("p[٣]") == pn(3)
+    assert parse_expression("٣/٢*h[١]") == Fraction(3, 2) * hn(1)
+
+
+def test_rational_factors_keep_their_meaning():
+    one = SymFunc.one()
+    assert parse_expression("p[1]*2") == 2 * pn(1)
+    assert parse_expression("2^3*h[1]") == 8 * hn(1)
+    assert parse_expression("2^3") == 8 * one
+    assert parse_expression("1/2^2") == Fraction(1, 4) * one
+    assert parse_expression("0*p[1]").is_zero
+    assert parse_expression("0^0") == one
+    assert parse_expression("s[]") == one
+    assert parse_expression("-s[] + 1").is_zero
+    assert parse_expression("h[1]^0") == one
+    assert parse_expression("3/2*s[2,1]*2/3") == basis_element("s", P((2, 1)))
+    assert parse_expression("2*h[1]*1/4*p[2]*3") == Fraction(3, 2) * hn(1) * pn(2)
+    assert parse_expression("- 1/2*p[1]^2 - 2") == -Fraction(1, 2) * pn(1) ** 2 - 2 * one
+
+
+def test_print_parse_roundtrip_degree_8():
+    g = (
+        Fraction(3, 2) * basis_element("s", P((4, 2, 1, 1)))
+        - basis_element("h", P((3, 2))) * basis_element("e", P((2, 1)))
+        + Fraction(5, 7) * basis_element("m", P((2, 2, 2, 2)))
+        - Fraction(1, 3) * pn(8)
+        + basis_element("f", P((3, 1)))
+        + 2 * SymFunc.one()
+    )
+    assert g.degree() == 8
+    for b in BASES:
+        assert parse_expression(expand(g, b).to_text()) == g, b
+
+
 def test_error_position_is_annotated():
     with pytest.raises(ParseError) as exc:
         parse_expression("p[3] @ h[1]")

@@ -68,6 +68,53 @@ def test_symfunc_power():
     assert hn(1) ** 3 == hn(1) * hn(1) * hn(1)
 
 
+small_scalar = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+scaled_element = st.builds(
+    lambda c, b, parts: c * basis_element(b, P(sorted(parts, reverse=True))),
+    small_scalar,
+    basis_strategy,
+    st.lists(st.integers(1, 5), max_size=5).filter(lambda xs: sum(xs) <= 5),
+)
+
+
+@given(st.lists(st.tuples(small_scalar, scaled_element), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_sum_is_the_linear_combination(pairs):
+    before = [(dict(g._terms), g._den) for _, g in pairs]
+    got = SymFunc.sum(iter(pairs))
+    want = {}
+    for c, g in pairs:
+        for lam, v in g.items():
+            want[lam] = want.get(lam, 0) + c * v
+    assert dict(got.items()) == {lam: v for lam, v in want.items() if v}
+    assert _canonical(got)
+    assert [(g._terms, g._den) for _, g in pairs] == before
+    # a dict is shared only by a lone live input with coefficient 1, returned whole
+    if any(got._terms is g._terms for _, g in pairs):
+        live = [(c, g) for c, g in pairs if c and g]
+        assert len(live) == 1 and live[0][0] == 1 and live[0][1] is got
+
+
+def test_sum_returns_a_lone_unit_term_whole():
+    g = Fraction(2, 3) * hn(2)
+    assert SymFunc.sum([(1, g)]) is g
+    assert SymFunc.sum([(0, pn(1)), (Fraction(1), g), (5, SymFunc.zero())]) is g
+    assert SymFunc.sum([(-1, g)]) == -g
+    assert SymFunc.sum([]) == SymFunc.zero()
+    assert SymFunc.sum([(2, g), (-2, g)]).is_zero
+
+
+def test_scalars_are_int_or_fraction():
+    assert pn(1) * Fraction(1, 2) == Fraction(1, 2) * pn(1) == SymFunc({(1,): Fraction(1, 2)})
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            pn(1) * bad
+        with pytest.raises(TypeError):
+            bad * pn(1)
+
+
 # --- basis elements and conversions ----------------------------------------
 
 
