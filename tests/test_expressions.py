@@ -49,6 +49,41 @@ def test_parse_errors(src):
     assert "position" in str(exc.value)
 
 
+BASIS = "expected a basis letter p/m/e/h/s/f or a number"
+INTEGER = "expected an integer"
+TRAILING = "unexpected trailing input"
+
+
+@pytest.mark.parametrize(
+    "src, pos, message",
+    [
+        ("", 0, BASIS),
+        (" ", 0, BASIS),
+        ("h[", 1, INTEGER),
+        ("h[2,", 3, INTEGER),
+        ("h[1,2]", 0, "parts must be weakly decreasing, got (1, 2)"),
+        (" h[0]", 1, "parts must be positive integers, got (0,)"),
+        ("q[2]", 0, BASIS),
+        ("*p[2]", 0, BASIS),
+        ("3/0", 2, "zero denominator"),
+        ("1/", 1, INTEGER),
+        ("h[2]]", 4, TRAILING),
+        ("h[1]2", 4, TRAILING),
+        ("p[2] +", 5, BASIS),
+        ("p[1 2]", 4, "expected ']'"),
+        ("h[]^", 3, INTEGER),
+        ("p[3] @ h[1]", 5, TRAILING),
+    ],
+)
+def test_parse_error_table(src, pos, message):
+    # every ParseError branch: its 0-based position, clamped to the last
+    # character, and its message
+    with pytest.raises(ParseError) as exc:
+        parse_expression(src)
+    assert exc.value.pos == pos
+    assert str(exc.value) == f"{message} (at position {pos + 1})"
+
+
 def test_only_decimal_digits_are_numbers():
     # '²' is a digit to str.isdigit but not to int(); other scripts' decimal
     # digits are numbers, as int() reads them
@@ -124,3 +159,36 @@ def test_print_parse_roundtrip_combination(b, spec):
     for coeff, parts in spec:
         g = g + coeff * basis_element(b, P(sorted(parts, reverse=True)))
     assert parse_expression(expand(g, b).to_text()) == g
+
+
+@st.composite
+def spaced_expansions(draw):
+    # a combination of degree <= 6 printed in one basis, with whitespace
+    # drawn into each gap between characters that are not both digits
+    b = draw(st.sampled_from(BASES))
+    g = SymFunc.sum(
+        (Fraction(num, den), basis_element(b, lam))
+        for num, den, lam in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(-9, 9),
+                    st.integers(1, 4),
+                    st.sampled_from([lam for d in range(7) for lam in partitions_of(d)]),
+                ),
+                max_size=4,
+            )
+        )
+    )
+    text = expand(g, draw(st.sampled_from(BASES))).to_text()
+    spaces = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u2003"])
+    out = text[:1]
+    for prev, ch in zip(text, text[1:]):
+        out += ch if prev.isdecimal() and ch.isdecimal() else draw(spaces) + ch
+    return g, draw(spaces) + out + draw(spaces)
+
+
+@given(spaced_expansions())
+@settings(max_examples=150, deadline=None)
+def test_whitespace_between_tokens_is_ignored(case):
+    g, text = case
+    assert parse_expression(text) == g, text
