@@ -77,7 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("expand", "apply"):
-            # bound before parsing: a parameter error wins over a parse error
+            # bound before parsing: a parameter or range error wins over a parse error
             op = named_operator(args.op, args.a, args.k) if args.command == "apply" else None
             g = parse_expression(args.expr)
             expansion = expand(g if op is None else op(g), args.basis)

@@ -86,14 +86,10 @@ class SymFunc:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Partition, ScalarLike] | None = None):
-        coeffs = {}
-        for lam, c in (terms or {}).items():
-            if c := Fraction(c):
-                coeffs[Partition(lam)] = c
-        # over the lcm of the reduced denominators no common factor is left
-        den = lcm(1, *(c.denominator for c in coeffs.values()))
-        self._terms = {lam: c.numerator * (den // c.denominator) for lam, c in coeffs.items()}
-        self._den = den
+        g = SymFunc.sum(
+            (Fraction(c), _basis_p("p", Partition(lam))) for lam, c in (terms or {}).items()
+        )
+        self._terms, self._den = g._terms, g._den
 
     @classmethod
     def _raw(cls, terms: _IntDict, den: int = 1) -> "SymFunc":

@@ -361,7 +361,7 @@ def named_operator(
 ) -> Callable[[SymFunc], SymFunc]:
     """The operator ``name`` of OPERATORS, as this module binds it now, with
     ``a`` and ``k`` bound, as a function of one argument.  Raises ValueError
-    for an unknown name, a missing or surplus parameter, or a negative one."""
+    for an unknown name, a missing or surplus parameter, or one out of range."""
     if name not in OPERATORS:
         raise ValueError(f"unknown operator {name!r}")
     fn_name, takes_a, takes_k = OPERATORS[name]
@@ -375,4 +375,6 @@ def named_operator(
         raise ValueError(f"operator {name} takes no --k")
     if (a is not None and a < 0) or (k is not None and k < 0):
         raise ValueError("operator parameters must be non-negative")
-    return partial(globals()[fn_name], *(x for x in (a, k) if x is not None))
+    op = partial(globals()[fn_name], *(x for x in (a, k) if x is not None))
+    op(SymFunc.zero())  # each operator checks its own range before its input
+    return op

@@ -246,8 +246,10 @@ def test_cli_errors_are_pinned(capsys, monkeypatch):
     # --k, the order in which they are reported, negative and zero parameters,
     # and a parameter error that wins over a parse error; then an unclosed
     # bracket, count and verify refusing out-of-range numbers, and an unknown
-    # suite refused before a known one runs, byte for byte.  argparse wraps
-    # its usage text to the terminal width, so fix the width.
+    # suite refused before a known one runs; then non-decimal digits, a zero
+    # denominator at its digit, and range errors that win over a parse
+    # error, byte for byte.  argparse wraps its usage text to the terminal
+    # width, so fix the width.
     monkeypatch.setenv("COLUMNS", "80")
     pinned = (Path(__file__).parent / "cli_errors.txt").read_text()
     out = ""
