@@ -166,6 +166,7 @@ def test_bad_parts_never_reach_the_memo():
         lambda: hn(-1),
         lambda: en(-1),
         lambda: SymFunc({(True,): 1}),
+        lambda: SymFunc({(0,): 0}),  # a bad key, whatever its coefficient
     ]
     for build in bad:
         with pytest.raises(ValueError):
