@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run the full acceptance gate and print one pass/fail line per criterion.
 
-Exit code 0 when every criterion passes, 1 otherwise.
+A criterion fails on a failed case or on a case count other than the one
+its ACCEPTANCE row pins.  Exit code 0 when every criterion passes, 1
+otherwise.
 """
 
 from symfunc.verify import ACCEPTANCE, run_criterion

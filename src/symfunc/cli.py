@@ -10,8 +10,9 @@ Subcommands:
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse errors, 3 internal faults (an
-exact computation that broke its own integrality check).  Only verify
-imports symfunc.verify, the one module that knows the suite names.
+exact computation that broke its own integrality check, or running out of
+memory).  Only verify imports symfunc.verify, the one module that knows the
+suite names.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 3
 
 

@@ -191,9 +191,15 @@ class SymFunc:
     def __pow__(self, n: int) -> "SymFunc":
         if n < 0:
             raise ValueError("negative power")
-        out = SymFunc.one()
-        for _ in range(n):
-            out = out * self
+        # square and multiply: about 2*log2(n) products, so the _merged memo
+        # gains that many index pairs, not n
+        out, square = SymFunc.one(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __eq__(self, other: object) -> bool:

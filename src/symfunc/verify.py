@@ -886,27 +886,32 @@ def check_cli_default_verify(b: Bounds) -> Iterator[Optional[str]]:
 # runners and the acceptance gate
 # ---------------------------------------------------------------------------
 
-# The acceptance gate: criterion number, description, checks, all run at
-# depth 8.  Everything is exact equality; the depth is part of the contract.
-ACCEPTANCE: tuple[tuple[int, str, tuple[Callable, ...]], ...] = (
+# The acceptance gate: criterion number, description, case count, checks,
+# all run at depth 8.  Everything is exact equality; the depth and the case
+# counts are part of the contract, so a sweep that shrinks fails.
+ACCEPTANCE: tuple[tuple[int, str, int, tuple[Callable, ...]], ...] = (
     (
         1,
         "vertex-operator action laws, |lam| <= 8, a <= 3, k <= 4",
+        5920,
         tuple(SUITES["actions"]),
     ),
     (
         2,
         "operator identities on basis elements of degree <= 6",
+        6480,
         tuple(SUITES["identities"]),
     ),
     (
         3,
         "core-ring properties: pairing tables to degree 8, identities to total degree 6",
+        32574,
         tuple(SUITES["ring"] + SUITES["lemmas"]),
     ),
     (
         4,
         "bounded-height pair counts agree and hit Catalan/1/n!, n <= 10, k <= 5",
+        94,
         (
             check_pairs_agreement,
             check_pairs_catalan,
@@ -917,16 +922,19 @@ ACCEPTANCE: tuple[tuple[int, str, tuple[Callable, ...]], ...] = (
     (
         5,
         "bounded-height Schur sum (n <= 8, k <= 4) and width-zero expansion (n <= 6, k <= 3)",
+        57,
         (check_schur_sum_lemma, check_rsform),
     ),
     (
         6,
         "polynomial-oracle sweep, all bases, degree <= 6 in six variables",
+        1470,
         tuple(SUITES["oracle"]),
     ),
     (
         7,
         "command-line examples byte-exact and default verify exits 0",
+        1087,
         (check_cli_examples, check_cli_roundtrip, check_cli_default_verify),
     ),
 )
@@ -944,13 +952,16 @@ def run_check(
 def run_criterion(num: int) -> tuple[str, bool, list[str]]:
     """Run acceptance criterion ``num``: its one-line report
     ``criterion N [PASS] desc (C cases, T.Ts)``, whether it passed, and its
-    failures as ``check name: message``."""
-    desc, checks = next((desc, checks) for n, desc, checks in ACCEPTANCE if n == num)
+    failures as ``check name: message``; a case count other than the pinned
+    one is a failure too."""
+    desc, want, checks = next(row[1:] for row in ACCEPTANCE if row[0] == num)
     start = time.perf_counter()
     results = [run_check(fn, Bounds(8)) for fn in checks]
     elapsed = time.perf_counter() - start
     cases = sum(c for _, c, _ in results)
     failures = [f"{name}: {msg}" for name, _, msgs in results for msg in msgs]
+    if cases != want:
+        failures.append(f"ran {cases} cases, not the pinned {want}")
     ok = not failures
     line = f"criterion {num} [{'PASS' if ok else 'FAIL'}] {desc} ({cases} cases, {elapsed:.1f}s)"
     return line, ok, failures

@@ -1,19 +1,24 @@
 import json
 import os
 import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import Mock
 
 import pytest
 
 from symfunc.cli import main
 from symfunc.vertex import OPERATORS
+from transcript import TRANSCRIPTS, replay
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # argparse's exits (usage errors, --help) count as the exit code
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -143,6 +148,11 @@ def test_repeated_suite_runs_once(capsys):
     assert both == cli_only + once
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("symfunc.cli.parse_expression", Mock(side_effect=MemoryError))
+    assert run_cli(capsys, "expand", "p[1]^20000") == (3, "", "internal error: out of memory\n")
+
+
 def test_json_byte_stability(capsys):
     runs = []
     for _ in range(2):
@@ -200,89 +210,23 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
-def test_default_verify_output_is_pinned(capsys):
-    # Every check name and case count of the default run; a renamed check or a
-    # changed case count shows here, not only a nonzero exit code.
-    code, out, err = run_cli(capsys, "verify")
-    assert code == 0
-    assert err == ""
-    assert out == (Path(__file__).parent / "verify_default.txt").read_text()
-
-
-def test_count_verbose_output_is_pinned(capsys):
-    # The README's verbose example and a default-method run at (7, 4): the
-    # count line and every per-composition term, byte for byte.
-    out = ""
-    for argv in (
-        ("count", "--n", "6", "--k", "3", "--method", "brute", "--verbose"),
-        ("count", "--n", "7", "--k", "4", "--verbose"),
-    ):
-        code, text, err = run_cli(capsys, *argv)
-        assert code == 0
-        assert err == ""
-        out += text
-    assert out == (Path(__file__).parent / "count_verbose.txt").read_text()
-
-
-def test_ring_outputs_are_pinned(capsys):
-    # Each "$ symfunc ..." line of the pinned file and the stdout it printed:
-    # expansions into all six bases (text and JSON), every --op, inner
-    # products and det counts, byte for byte.
-    pinned = (Path(__file__).parent / "ring_outputs.txt").read_text()
-    out = ""
-    for line in pinned.splitlines():
-        if line.startswith("$ "):
-            argv = shlex.split(line[2:])
-            assert argv[0] == "symfunc"
-            code, text, err = run_cli(capsys, *argv[1:])
-            assert (code, err) == (0, ""), line
-            out += line + "\n" + text
-    assert out == pinned
-
-
-def test_cli_errors_are_pinned(capsys, monkeypatch):
-    # Each "$ symfunc ..." line of the pinned file, then its exit code and
-    # stderr: for apply, an unknown --op, every missing or forbidden --a and
-    # --k, the order in which they are reported, negative and zero parameters,
-    # and a parameter error that wins over a parse error; then an unclosed
-    # bracket, count and verify refusing out-of-range numbers, and an unknown
-    # suite refused before a known one runs; then non-decimal digits, a zero
-    # denominator at its digit, and range errors that win over a parse
-    # error, byte for byte.  argparse wraps its usage text to the terminal
-    # width, so fix the width.
+@pytest.mark.parametrize("name", TRANSCRIPTS[:-1])
+def test_transcript(name, capsys, monkeypatch):
+    # Each pinned transcript but the deep verify run, byte for byte, at the
+    # terminal width that run_installed fixes for argparse's usage text.
     monkeypatch.setenv("COLUMNS", "80")
-    pinned = (Path(__file__).parent / "cli_errors.txt").read_text()
-    out = ""
-    for line in pinned.splitlines():
-        if line.startswith("$ "):
-            argv = shlex.split(line[2:])
-            assert argv[0] == "symfunc"
-            try:
-                code = main(argv[1:])
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            assert captured.out == "", line
-            out += f"{line}\nexit {code}\n{captured.err}"
-    assert out == pinned
+    pinned = Path(__file__).with_name(f"{name}.txt").read_text()
+    assert replay(pinned, lambda argv: run_cli(capsys, *argv)) == pinned
 
 
-def test_cli_help_is_pinned(capsys, monkeypatch):
-    # Each "$ symfunc ... --help" line of the pinned file and the help text
-    # it printed, at a fixed terminal width.
-    monkeypatch.setenv("COLUMNS", "80")
-    pinned = (Path(__file__).parent / "cli_help.txt").read_text()
-    out = ""
-    for line in pinned.splitlines():
-        if line.startswith("$ "):
-            argv = shlex.split(line[2:])
-            assert argv[0] == "symfunc"
-            with pytest.raises(SystemExit) as exc:
-                main(argv[1:])
-            captured = capsys.readouterr()
-            assert (exc.value.code, captured.err) == (0, ""), line
-            out += line + "\n" + captured.out
-    assert out == pinned
+def test_replay_keeps_stderr_and_stdout():
+    # The branches no pinned transcript reaches: stderr after exit 0, and
+    # stdout before a nonzero exit.
+    runs = {"warn": (0, "out\n", "note\n"), "fail": (1, "partial\n", "")}
+    pinned = "$ symfunc warn\n$ symfunc fail\n"
+    assert replay(pinned, lambda argv: runs[argv[0]]) == (
+        "$ symfunc warn\nout\nexit 0\nnote\n$ symfunc fail\npartial\nexit 1\n"
+    )
 
 
 def _loaded_by_import(module, names):

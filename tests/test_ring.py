@@ -64,8 +64,23 @@ def test_symfunc_degree_parts():
 
 
 def test_symfunc_power():
-    assert hn(1) ** 0 == SymFunc.one()
-    assert hn(1) ** 3 == hn(1) * hn(1) * hn(1)
+    for g in (
+        hn(1),
+        pn(2) + SymFunc.one(),
+        2 * hn(2) - Fraction(1, 3) * en(1) * pn(1),
+        basis_element("s", (2, 1)) - en(3),
+    ):
+        want = SymFunc.one()
+        for n in range(6):
+            assert g ** n == want, (g, n)
+            want = want * g
+
+
+def test_power_adds_few_merged_indices():
+    # n products, one at a time, would add n entries to the _merged memo
+    before = ring._merged.cache_info().currsize
+    pn(1) ** 1000
+    assert ring._merged.cache_info().currsize - before <= 20
 
 
 small_scalar = st.one_of(
