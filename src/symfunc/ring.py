@@ -191,15 +191,14 @@ class SymFunc:
     def __pow__(self, n: int) -> "SymFunc":
         if n < 0:
             raise ValueError("negative power")
-        # square and multiply: about 2*log2(n) products, so the _merged memo
-        # gains that many index pairs, not n
-        out, square = SymFunc.one(), self
-        while n:
-            if n & 1:
-                out = out * square
-            n >>= 1
-            if n:
-                square = square * square
+        if len(self._terms) == 1:
+            # c * p_lam over d, to the n, is c^n * p_lam^n over d^n, still in
+            # lowest terms: n products would add n ever longer indices to _merged
+            ((lam, c),) = self._terms.items()
+            return SymFunc._raw({Partition(sorted(lam * n, reverse=True)): c**n}, self._den**n)
+        out = SymFunc.one()
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, other: object) -> bool:

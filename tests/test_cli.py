@@ -210,10 +210,10 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("name", TRANSCRIPTS[:-1])
+@pytest.mark.parametrize("name", [n for n in TRANSCRIPTS if n != "verify_deep"])
 def test_transcript(name, capsys, monkeypatch):
-    # Each pinned transcript but the deep verify run, byte for byte, at the
-    # terminal width that run_installed fixes for argparse's usage text.
+    # Each pinned transcript but verify_deep (about 7 s), byte for byte, at
+    # the terminal width that run_installed fixes for argparse's usage text.
     monkeypatch.setenv("COLUMNS", "80")
     pinned = Path(__file__).with_name(f"{name}.txt").read_text()
     assert replay(pinned, lambda argv: run_cli(capsys, *argv)) == pinned

@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-# tests/<name>.txt; tier-1 replays all but the last, verify at depth 6 (about 7 s)
+# tests/<name>.txt; tier-1 replays all but verify_deep, verify at depth 6
 TRANSCRIPTS = (
     "ring_outputs", "cli_errors", "cli_help", "verify_default", "count_verbose", "verify_deep"
 )
