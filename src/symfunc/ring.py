@@ -86,9 +86,11 @@ class SymFunc:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Partition, ScalarLike] | None = None):
-        g = SymFunc.sum(
-            (Fraction(c), _basis_p("p", Partition(lam))) for lam, c in (terms or {}).items()
-        )
+        terms = terms or {}
+        for c in terms.values():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficients are int or Fraction, not {type(c).__name__}")
+        g = SymFunc.sum((c, _basis_p("p", Partition(lam))) for lam, c in terms.items())
         self._terms, self._den = g._terms, g._den
 
     @classmethod

@@ -101,6 +101,8 @@ def bounded_height_schur_sum(n: int, k: int, method: str = "formula") -> SymFunc
             multinomial(n; s) * det|h_{s_j - j + i}|;
     method="operator": apply the width-zero Schur column adder to h_1^n.
     """
+    if n < 0 or k < 1:
+        raise ValueError("need n >= 0 and k >= 1")
     if method == "operator":
         return cs_column(0, k, hn(1) ** n)
     if method != "formula":

@@ -797,7 +797,7 @@ def check_oracle_ring_hom(b: Bounds) -> Iterator[Optional[str]]:
             for lam2 in partitions_upto(n - sum(lam1)):
                 g2 = basis_element(base, lam2)
                 lhs = polyoracle.realize_symfunc(g1 * g2, v)
-                ok = lhs == r1 * polyoracle.realize_symfunc(g2, v)
+                ok = lhs == polyoracle.mul(r1, polyoracle.realize_symfunc(g2, v))
                 yield None if ok else f"realization not multiplicative at {base}, {lam1},{lam2}"
 
 
@@ -808,7 +808,8 @@ def check_oracle_symmetry(b: Bounds) -> Iterator[Optional[str]]:
         for lam in partitions_upto(min(b.identity_degree, 5)):
             poly = polyoracle.realize(base, lam, v)
             for i in range(v - 1):
-                ok = poly.swap_vars(i, i + 1) == poly
+                swapped = {m[:i] + (m[i + 1], m[i]) + m[i + 2 :]: c for m, c in poly.items()}
+                ok = swapped == poly
                 yield None if ok else (
                     f"realization of {base}_{lam} not symmetric in x{i+1},x{i+2}"
                 )

@@ -129,6 +129,9 @@ def test_scalars_are_int_or_fraction():
             pn(1) * bad
         with pytest.raises(TypeError):
             bad * pn(1)
+    for bad in (0.1, "1/3"):
+        with pytest.raises(TypeError):
+            SymFunc({(1,): bad})
 
 
 # --- basis elements and conversions ----------------------------------------

@@ -73,6 +73,10 @@ def test_schur_sum_examples():
     assert bounded_height_schur_sum(2, 1, "formula") == basis_element("s", (2,))
     with pytest.raises(ValueError):
         bounded_height_schur_sum(2, 1, "closed")
+    for method in ("formula", "operator"):
+        for n, k in ((3, 0), (0, 0), (-1, 2)):
+            with pytest.raises(ValueError, match="need n >= 0 and k >= 1"):
+                bounded_height_schur_sum(n, k, method)
 
 
 def test_schur_sum_is_syt_weighted():
