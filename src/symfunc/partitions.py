@@ -48,6 +48,15 @@ def _wrap(parts: tuple[int, ...]) -> Partition:
 EMPTY = _wrap(())
 
 
+def need_int(value: int, least: int, name: str) -> None:
+    """The one check of an integer count or parameter: a TypeError unless
+    ``value`` is an int (a bool is not), a ValueError below ``least``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram: column lengths of ``lam``."""
     if not lam:
@@ -57,8 +66,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def mult_count(lam: Partition, i: int) -> int:
     """Number of parts of ``lam`` equal to ``i`` (``i`` >= 1)."""
-    if i < 1:
-        raise ValueError("part size must be >= 1")
+    need_int(i, 1, "part size")
     return lam.count(i)
 
 
@@ -83,8 +91,8 @@ def add_columns(lam: Partition, a: int, k: int) -> Optional[Partition]:
     be a partition made of the first k rows).  Zero entries produced by the
     padding (when a == 0) are dropped from the result.
     """
-    if a < 0 or k < 0:
-        raise ValueError("a and k must be non-negative")
+    need_int(a, 0, "a")
+    need_int(k, 0, "k")
     if len(lam) > k:
         return None
     parts = tuple((lam[i] if i < len(lam) else 0) + a for i in range(k))
@@ -155,10 +163,10 @@ def partitions_of(n: int, max_length: Optional[int] = None) -> Iterator[Partitio
     """All partitions of ``n`` with at most ``max_length`` parts, in
     decreasing lexicographic order.  Without a bound this walks one tuple per
     degree, built once."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    need_int(n, 0, "n")
     if max_length is None:
         return iter(_all_partitions(n))
+    need_int(max_length, 0, "max_length")
     return _walk(n, n, max_length, [])
 
 
@@ -193,10 +201,8 @@ def compositions_of(n: int, k: int) -> Iterator[Composition]:
 
     Ordered with the first entry decreasing, then recursively likewise.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k < 1:
-        raise ValueError("k must be positive")
+    need_int(n, 0, "n")
+    need_int(k, 1, "k")
 
     def rec(rest: int, slots: int) -> Iterator[tuple[int, ...]]:
         if slots == 1:

@@ -45,6 +45,7 @@ from .partitions import (
     Partition,
     _wrap,
     insert_parts,
+    need_int,
     partitions_of,
     z_value,
 )
@@ -86,11 +87,7 @@ class SymFunc:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Partition, ScalarLike] | None = None):
-        terms = terms or {}
-        for c in terms.values():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficients are int or Fraction, not {type(c).__name__}")
-        g = SymFunc.sum((c, _basis_p("p", Partition(lam))) for lam, c in terms.items())
+        g = SymFunc.sum((c, _basis_p("p", Partition(lam))) for lam, c in (terms or {}).items())
         self._terms, self._den = g._terms, g._den
 
     @classmethod
@@ -123,18 +120,23 @@ class SymFunc:
 
     @classmethod
     def sum(cls, pairs: Iterable[tuple[ScalarLike, "SymFunc"]]) -> "SymFunc":
-        """The linear combination of ``pairs`` (c, g), for int or Fraction c,
-        in one pass into one dict over the lcm of every c.denominator * g._den.
-        Zero coefficients and zero functions are skipped, a lone g with c = 1
-        comes back whole, and no input's dict is written."""
-        pairs = [(c, g) for c, g in pairs if c and g._terms]
-        if not pairs:
-            return cls.zero()
-        if len(pairs) == 1 and pairs[0][0] == 1:
-            return pairs[0][1]
-        den = lcm(*(c.denominator * g._den for c, g in pairs))
-        out: _IntDict = {}
+        """The linear combination of ``pairs`` (c, g), for int or Fraction c (any
+        other c, a bool or 0.0 too, is a TypeError), in one pass into one dict over
+        the lcm of every c.denominator * g._den.  Zero terms are then skipped, a
+        lone g with c = 1 comes back whole, and no input's dict is written."""
+        live = []
         for c, g in pairs:
+            if type(c) not in (int, Fraction):
+                raise TypeError(f"coefficients are int or Fraction, not {type(c).__name__}")
+            if c and g._terms:
+                live.append((c, g))
+        if not live:
+            return cls.zero()
+        if len(live) == 1 and live[0][0] == 1:
+            return live[0][1]
+        den = lcm(*(c.denominator * g._den for c, g in live))
+        out: _IntDict = {}
+        for c, g in live:
             scale = c.numerator * (den // (c.denominator * g._den))
             if not out:  # the first term: a copy, so no input's dict is written
                 out = dict(g._terms) if scale == 1 else {lam: v * scale for lam, v in g._terms.items()}
@@ -183,16 +185,12 @@ class SymFunc:
     def __mul__(self, other: Union["SymFunc", ScalarLike]) -> "SymFunc":
         if isinstance(other, SymFunc):
             return _product(self, other)
-        if isinstance(other, (int, Fraction)):
-            return SymFunc.sum(((other, self),))
-        return NotImplemented
+        return SymFunc.sum(((other, self),))  # which refuses any other scalar
 
-    def __rmul__(self, other: ScalarLike) -> "SymFunc":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "SymFunc":
-        if n < 0:
-            raise ValueError("negative power")
+        need_int(n, 0, "exponent")
         if len(self._terms) == 1:
             # c * p_lam over d, to the n, is c^n * p_lam^n over d^n, still in
             # lowest terms: n products would add n ever longer indices to _merged
@@ -487,7 +485,8 @@ def r_coefficient(mu: Partition) -> int:
 
 
 def _row(n: int) -> Partition:
-    return EMPTY if type(n) is int and n == 0 else Partition((n,))
+    need_int(n, 0, "n")
+    return _wrap((n,)) if n else EMPTY
 
 
 def hn(n: int) -> SymFunc:

@@ -28,6 +28,7 @@ from .partitions import (
     Partition,
     compositions_of,
     conjugate,
+    need_int,
     partitions_of,
 )
 from .ring import SymFunc, hn, jacobi_trudi
@@ -101,8 +102,8 @@ def bounded_height_schur_sum(n: int, k: int, method: str = "formula") -> SymFunc
             multinomial(n; s) * det|h_{s_j - j + i}|;
     method="operator": apply the width-zero Schur column adder to h_1^n.
     """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    need_int(n, 0, "n")
+    need_int(k, 1, "k")
     if method == "operator":
         return cs_column(0, k, hn(1) ** n)
     if method != "formula":
@@ -140,8 +141,8 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
     det:    n! times the x^n coefficient of theta(bounded_height_schur_sum).
     brute:  sum the squared hook-length counts directly.
     """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
+    need_int(n, 0, "n")
+    need_int(k, 1, "k")
     # a shape of n boxes has at most n rows, so heights past n count alike
     k = min(k, max(n, 1))
     if method == "brute":
@@ -163,9 +164,10 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
 
 def closed_form_terms(n: int, k: int) -> Iterator[tuple[Composition, Fraction]]:
     """Per-composition contributions of the closed-form pair count."""
+    need_int(n, 0, "n")
+    need_int(k, 1, "k")
     scale = Fraction(math.factorial(n), math.factorial(n + k * (k - 1) // 2))
-    for s, w in _closed_numerators(n, k):
-        yield s, scale * w
+    return ((s, scale * w) for s, w in _closed_numerators(n, k))
 
 
 def _closed_numerators(n: int, k: int) -> Iterator[tuple[Composition, int]]:
@@ -181,8 +183,6 @@ def _closed_numerators(n: int, k: int) -> Iterator[tuple[Composition, int]]:
     by its whole subtree, and every leaf costs about 2k integer
     multiplications, with no division.
     """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
     if k == 1:
         yield (n,), 1
         return
@@ -232,4 +232,5 @@ def _closed_numerators(n: int, k: int) -> Iterator[tuple[Composition, int]]:
 
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n) / (n + 1)."""
+    need_int(n, 0, "n")
     return math.comb(2 * n, n) // (n + 1)

@@ -41,8 +41,9 @@ way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
 omega and rf_row = omega o rm_row o omega.  Their literal defining sums live
 in ``verify`` as oracles for that conjugation.
 
-OPERATORS names each operator as --op does, with its function's name here;
-named_operator(name, a, k) looks the function up when it binds it.
+OPERATORS names each operator as --op does, with its function's name and its
+least a and k, the one statement of its domain: the operators and
+named_operator(name, a, k) check against that row, so binding calls nothing.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .partitions import (
     conjugate,
     insert_parts,
     mult_count,
+    need_int,
     partitions_upto,
     z_value,
 )
@@ -91,8 +93,7 @@ def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
     and beyond is whatever the sum produces.  k = 0 is the identity, and so
     is a = 0 (setting p_0 = 1 collapses every term but lam = empty).
     """
-    if a < 0 or k < 0:
-        raise ValueError("a and k must be non-negative")
+    _check_params("CP", a, k)
     if k == 0 or a == 0 or g.is_zero:
         return g
 
@@ -110,8 +111,7 @@ def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
 def ch_column(k: int, g: SymFunc) -> SymFunc:
     """Add a column 1^k to homogeneous indices:
     sum over l(lam) <= k of (-1)^{|lam|} e_{lam + 1^k} m_lam^perp."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    _check_params("CH", k=k)
     return _perp_sum(
         g,
         partitions_upto(g.degree(), max_length=k),
@@ -134,8 +134,7 @@ def rm_row_one(a: int, g: SymFunc) -> SymFunc:
 
     That is rm_rows(a, 1).  Sends m_lam to (1 + n_a(lam)) m_{lam + (a)}.
     """
-    if a < 1:
-        raise ValueError("a must be >= 1")
+    _check_params("RM1", a)
     return rm_rows(a, 1, g)
 
 
@@ -149,8 +148,7 @@ def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     normalization of the action survives there, so the law above is stated
     for a >= 1 only.
     """
-    if a < 0 or k < 0:
-        raise ValueError("a and k must be non-negative")
+    _check_params("RMK", a, k)
     if k == 0:
         return g
     return _perp_sum(
@@ -170,8 +168,7 @@ def rm_row(a: int, g: SymFunc) -> SymFunc:
     which is the sum over k >= 0 of (-1)^k rm_rows(a, k + 1) o (h_a^k)^perp.
     Sends m_lam to m_{lam + (a)}.
     """
-    if a < 1:
-        raise ValueError("a must be >= 1")
+    _check_params("RM", a)
     return SymFunc.sum(
         ((-1) ** k, rm_rows(a, k + 1, skew(basis_element("h", Partition((a,) * k)), g)))
         for k in range(g.degree() // a + 1)
@@ -201,8 +198,7 @@ def cm_column(a: int, k: int, g: SymFunc) -> SymFunc:
     still applies, and there it collapses to projecting the monomial
     expansion onto terms of length <= k; that is how a = 0 is computed.
     """
-    if a < 0 or k < 1:
-        raise ValueError("need a >= 0 and k >= 1")
+    _check_params("CM", a, k)
     if a == 0:
         kept = {mu: c for mu, c in expand(g, "m").terms.items() if len(mu) <= k}
         return BasisExpansion("m", kept).to_symfunc()
@@ -246,8 +242,7 @@ def rs_row(a: int, g: SymFunc) -> SymFunc:
 def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     """Closed form of the k-th power of the Schur row adder:
     sum over l(lam) <= k of (-1)^{|lam|} s_{lam + a^k} s_{lam'}^perp."""
-    if a < 0 or k < 0:
-        raise ValueError("a and k must be non-negative")
+    _check_params("RSK", a, k)
     if k == 0:
         return g
     return _perp_sum(
@@ -276,8 +271,7 @@ def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
     most k rows.  k = 0 reduces to constant-term extraction.  Each image
     rs_rows(a, k) s_lam comes from _image under the current rs_rows.
     """
-    if a < 0 or k < 0:
-        raise ValueError("a and k must be non-negative")
+    _check_params("CS", a, k)
     return _perp_sum(
         g,
         partitions_upto(g.degree()),
@@ -336,45 +330,44 @@ def everything_op(
 # Named dispatch for the CLI.
 # ---------------------------------------------------------------------------
 
-# name -> (function name, takes a, takes k), the function taking (a, k, g)
-# minus the parameters it does not take and looked up when named_operator
+# name -> (function name, least a, least k), the function taking (a, k, g)
+# minus each parameter whose least is None, looked up when named_operator
 # binds it.  The order is the CLI's --op order.
-OPERATORS: dict[str, tuple[str, bool, bool]] = {
-    "CP": ("cp_column", True, True),
-    "CH": ("ch_column", False, True),
-    "CE": ("ce_column", False, True),
-    "RM1": ("rm_row_one", True, False),
-    "RMK": ("rm_rows", True, True),
-    "RM": ("rm_row", True, False),
-    "RF": ("rf_row", True, False),
-    "CM": ("cm_column", True, True),
-    "CF": ("cf_column", True, True),
-    "RS": ("rs_row", True, False),
-    "RSK": ("rs_rows", True, True),
-    "CS": ("cs_column", True, True),
-    "TX": ("t_minus_x", False, False),
+OPERATORS: dict[str, tuple[str, Optional[int], Optional[int]]] = {
+    "CP": ("cp_column", 0, 0),
+    "CH": ("ch_column", None, 1),
+    "CE": ("ce_column", None, 1),
+    "RM1": ("rm_row_one", 1, None),
+    "RMK": ("rm_rows", 0, 0),
+    "RM": ("rm_row", 1, None),
+    "RF": ("rf_row", 1, None),
+    "CM": ("cm_column", 0, 1),
+    "CF": ("cf_column", 0, 1),
+    "RS": ("rs_row", 0, None),
+    "RSK": ("rs_rows", 0, 0),
+    "CS": ("cs_column", 0, 0),
+    "TX": ("t_minus_x", None, None),
 }
+
+
+def _check_params(name: str, a: Optional[int] = None, k: Optional[int] = None) -> None:
+    """need_int on ``a`` and ``k`` with the least values of OPERATORS[name]."""
+    for flag, value, least in zip("ak", (a, k), OPERATORS[name][1:]):
+        if least is not None:
+            need_int(value, least, flag)
 
 
 def named_operator(
     name: str, a: Optional[int] = None, k: Optional[int] = None
 ) -> Callable[[SymFunc], SymFunc]:
-    """The operator ``name`` of OPERATORS, as this module binds it now, with
-    ``a`` and ``k`` bound, as a function of one argument.  Raises ValueError
-    for an unknown name, a missing or surplus parameter, or one out of range."""
+    """The operator ``name`` of OPERATORS, as this module binds it now, with ``a``
+    and ``k`` bound, as a function of one argument.  Refuses, in this order and
+    without calling it, an unknown name, a missing or surplus a, k and an a, k out of range."""
     if name not in OPERATORS:
         raise ValueError(f"unknown operator {name!r}")
-    fn_name, takes_a, takes_k = OPERATORS[name]
-    if takes_a and a is None:
-        raise ValueError(f"operator {name} requires --a")
-    if not takes_a and a is not None:
-        raise ValueError(f"operator {name} takes no --a")
-    if takes_k and k is None:
-        raise ValueError(f"operator {name} requires --k")
-    if not takes_k and k is not None:
-        raise ValueError(f"operator {name} takes no --k")
-    if (a is not None and a < 0) or (k is not None and k < 0):
-        raise ValueError("operator parameters must be non-negative")
-    op = partial(globals()[fn_name], *(x for x in (a, k) if x is not None))
-    op(SymFunc.zero())  # each operator checks its own range before its input
-    return op
+    for flag, value, least in zip("ak", (a, k), OPERATORS[name][1:]):
+        if (value is None) != (least is None):
+            need = "requires" if value is None else "takes no"
+            raise ValueError(f"operator {name} {need} --{flag}")
+    _check_params(name, a, k)
+    return partial(globals()[OPERATORS[name][0]], *(x for x in (a, k) if x is not None))

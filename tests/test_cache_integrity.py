@@ -61,8 +61,10 @@ def _sweep():
                 skew(g, f)
                 skew(f, f * g)
                 inner_product(f, g)
-    for name, (_, takes_a, takes_k) in OPERATORS.items():
-        op = named_operator(name, 2 if takes_a else None, 2 if takes_k else None)
+    for name, (_, least_a, least_k) in OPERATORS.items():
+        op = named_operator(
+            name, 2 if least_a is not None else None, 2 if least_k is not None else None
+        )
         for lam in shapes:
             if sum(lam) <= 3:
                 for b in BASES:

@@ -132,6 +132,13 @@ def test_scalars_are_int_or_fraction():
     for bad in (0.1, "1/3"):
         with pytest.raises(TypeError):
             SymFunc({(1,): bad})
+    # SymFunc.sum is the one check, and it runs before zero terms are skipped
+    p1 = pn(1)
+    for bad in (0.5, "1/2", True, 0.0):
+        with pytest.raises(TypeError, match="^coefficients are int or Fraction, not "):
+            SymFunc.sum([(bad, p1)])
+    with pytest.raises(TypeError, match="^coefficients are int or Fraction, not bool$"):
+        pn(1) * True
 
 
 # --- basis elements and conversions ----------------------------------------
@@ -176,19 +183,19 @@ def test_bad_parts_never_reach_the_memo():
     # True == 1 and hashes like it, so a stored bool key would print later.
     ring._basis_p.cache_clear()
     bad = [
-        lambda: basis_element("p", [True, True]),
-        lambda: pn(True),
-        lambda: pn(False),
-        lambda: hn(False),
-        lambda: en(False),
-        lambda: pn(-1),
-        lambda: hn(-1),
-        lambda: en(-1),
-        lambda: SymFunc({(True,): 1}),
-        lambda: SymFunc({(0,): 0}),  # a bad key, whatever its coefficient
+        (ValueError, lambda: basis_element("p", [True, True])),
+        (TypeError, lambda: pn(True)),
+        (TypeError, lambda: pn(False)),
+        (TypeError, lambda: hn(False)),
+        (TypeError, lambda: en(False)),
+        (ValueError, lambda: pn(-1)),
+        (ValueError, lambda: hn(-1)),
+        (ValueError, lambda: en(-1)),
+        (ValueError, lambda: SymFunc({(True,): 1})),
+        (ValueError, lambda: SymFunc({(0,): 0})),  # a bad key, whatever its coefficient
     ]
-    for build in bad:
-        with pytest.raises(ValueError):
+    for error, build in bad:
+        with pytest.raises(error):
             build()
     assert repr(basis_element("p", (1, 1))) == "p[1,1]"
 

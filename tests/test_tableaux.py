@@ -74,8 +74,10 @@ def test_schur_sum_examples():
     with pytest.raises(ValueError):
         bounded_height_schur_sum(2, 1, "closed")
     for method in ("formula", "operator"):
-        for n, k in ((3, 0), (0, 0), (-1, 2)):
-            with pytest.raises(ValueError, match="need n >= 0 and k >= 1"):
+        for n, k, message in (
+            (3, 0, "k must be >= 1"), (0, 0, "k must be >= 1"), (-1, 2, "n must be >= 0")
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 bounded_height_schur_sum(n, k, method)
 
 

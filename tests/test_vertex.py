@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,13 @@ from symfunc.partitions import (
     partitions_of,
     straighten,
 )
-from symfunc.ring import SymFunc, basis_element, hn, pn
+from symfunc.ring import SymFunc, basis_element, en, hn, pn
+from symfunc.tableaux import (
+    bounded_height_pairs,
+    bounded_height_schur_sum,
+    catalan,
+    closed_form_terms,
+)
 from symfunc.verify import ce_column_literal, cf_column_literal, rf_row_literal
 from symfunc.vertex import (
     OPERATORS,
@@ -260,7 +267,8 @@ def test_rs_anticommutation_small():
 
 def test_operator_spec_validation():
     # the operator name and its parameters are checked when they are bound,
-    # before the operator sees any input
+    # before the operator sees any input: the name, a's and then k's
+    # presence, a's and then k's range
     named_operator("CS", a=0, k=2)
     named_operator("TX")
     named_operator("RS", a=1)
@@ -269,34 +277,90 @@ def test_operator_spec_validation():
         ("TX", 1, None, "operator TX takes no --a"),
         ("CH", 2, 1, "operator CH takes no --a"),
         ("NOPE", None, None, "unknown operator 'NOPE'"),
-        ("RS", -1, None, "operator parameters must be non-negative"),
+        ("RS", -1, None, "a must be >= 0"),
+        ("CS", -1, None, "operator CS requires --k"),
+        ("CM", -1, 0, "a must be >= 0"),
+        ("CM", 0, 0, "k must be >= 1"),
+        ("RM1", 0, None, "a must be >= 1"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             named_operator(name, a, k)
 
 
-# direct calls past named_operator, each with the exact refusal it must give
+def test_binding_never_calls_the_operator(monkeypatch):
+    # the ranges come from OPERATORS, so an operator that fails on every
+    # input still binds
+    for name, (fn_name, least_a, least_k) in OPERATORS.items():
+        monkeypatch.setattr(vertex, fn_name, Mock(side_effect=AssertionError(name)))
+        named_operator(name, least_a, least_k)
+
+
+def _refusals(label, call, name, least):
+    """The three refusals of parameter ``name`` of ``call(x)``: a float and a
+    bool are TypeErrors, and ``least - 1`` is below its domain."""
+    return {
+        label: (lambda: call(least - 1), ValueError, f"{name} must be >= {least}"),
+        f"{label} float": (lambda: call(2.0), TypeError, f"{name} must be an int, not float"),
+        f"{label} bool": (lambda: call(True), TypeError, f"{name} must be an int, not bool"),
+    }
+
+
+# direct calls past named_operator, each with the exact refusal it must give;
+# every integer count or parameter goes through partitions.need_int
 _REFUSALS = {
-    "cp_column a": (lambda: cp_column(-1, 1, one), "a and k must be non-negative"),
-    "cp_column k": (lambda: cp_column(1, -1, one), "a and k must be non-negative"),
-    "rm_rows a": (lambda: rm_rows(-1, 1, one), "a and k must be non-negative"),
-    "rm_rows k": (lambda: rm_rows(1, -1, one), "a and k must be non-negative"),
-    "rs_rows a": (lambda: rs_rows(-1, 1, one), "a and k must be non-negative"),
-    "rs_rows k": (lambda: rs_rows(1, -1, one), "a and k must be non-negative"),
-    "rs_row a": (lambda: rs_row(-1, one), "a and k must be non-negative"),
-    "cs_column a": (lambda: cs_column(-1, 1, one), "a and k must be non-negative"),
-    "cs_column k": (lambda: cs_column(1, -1, one), "a and k must be non-negative"),
-    "partitions_of n": (lambda: partitions_of(-1), "n must be non-negative"),
-    "compositions_of n": (lambda: compositions_of(-1, 2), "n must be non-negative"),
-    "compositions_of k": (lambda: compositions_of(2, 0), "k must be positive"),
+    **_refusals("cp_column a", lambda x: cp_column(x, 1, one), "a", 0),
+    **_refusals("cp_column k", lambda x: cp_column(1, x, one), "k", 0),
+    **_refusals("ch_column k", lambda x: ch_column(x, one), "k", 1),
+    **_refusals("ce_column k", lambda x: ce_column(x, one), "k", 1),
+    **_refusals("rm_row_one a", lambda x: rm_row_one(x, one), "a", 1),
+    **_refusals("rm_rows a", lambda x: rm_rows(x, 1, one), "a", 0),
+    **_refusals("rm_rows k", lambda x: rm_rows(1, x, one), "k", 0),
+    **_refusals("rm_row a", lambda x: rm_row(x, one), "a", 1),
+    **_refusals("rf_row a", lambda x: rf_row(x, one), "a", 1),
+    **_refusals("cm_column a", lambda x: cm_column(x, 1, one), "a", 0),
+    **_refusals("cm_column k", lambda x: cm_column(1, x, one), "k", 1),
+    **_refusals("cf_column a", lambda x: cf_column(x, 1, one), "a", 0),
+    **_refusals("cf_column k", lambda x: cf_column(1, x, one), "k", 1),
+    **_refusals("rs_row a", lambda x: rs_row(x, one), "a", 0),
+    **_refusals("rs_rows a", lambda x: rs_rows(x, 1, one), "a", 0),
+    **_refusals("rs_rows k", lambda x: rs_rows(1, x, one), "k", 0),
+    **_refusals("cs_column a", lambda x: cs_column(x, 1, one), "a", 0),
+    **_refusals("cs_column k", lambda x: cs_column(1, x, one), "k", 0),
+    **_refusals("named_operator a", lambda x: named_operator("RM", x), "a", 1),
+    **_refusals("named_operator k", lambda x: named_operator("CS", 1, x), "k", 0),
+    **_refusals("partitions_of n", lambda x: partitions_of(x), "n", 0),
+    **_refusals(
+        "partitions_of max_length", lambda x: partitions_of(3, max_length=x), "max_length", 0
+    ),
+    **_refusals("compositions_of n", lambda x: compositions_of(x, 2), "n", 0),
+    **_refusals("compositions_of k", lambda x: compositions_of(3, x), "k", 1),
+    **_refusals("add_columns a", lambda x: add_columns(P((1,)), x, 2), "a", 0),
+    **_refusals("add_columns k", lambda x: add_columns(P((1,)), 1, x), "k", 0),
+    **_refusals("mult_count", lambda x: mult_count(P((1,)), x), "part size", 1),
+    **_refusals("power", lambda x: hn(2) ** x, "exponent", 0),
+    **_refusals("hn", hn, "n", 0),
+    **_refusals("en", en, "n", 0),
+    **_refusals("pn", pn, "n", 0),
+    **_refusals("pairs n", lambda x: bounded_height_pairs(x, 2), "n", 0),
+    **_refusals("pairs k", lambda x: bounded_height_pairs(3, x), "k", 1),
+    **_refusals("schur_sum n", lambda x: bounded_height_schur_sum(x, 2), "n", 0),
+    **_refusals("schur_sum k", lambda x: bounded_height_schur_sum(3, x), "k", 1),
+    **_refusals("closed_form_terms n", lambda x: closed_form_terms(x, 2), "n", 0),
+    **_refusals("closed_form_terms k", lambda x: closed_form_terms(3, x), "k", 1),
+    **_refusals("catalan", catalan, "n", 0),
+    # a float that would bind and then fail inside a bit shift on use
+    "named_operator CS a=1.0": (
+        lambda: named_operator("CS", 1.0, 2), TypeError, "a must be an int, not float"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(_REFUSALS))
 def test_direct_calls_refuse_bad_parameters(case):
-    call, message = _REFUSALS[case]
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error, match=f"^{message}$") as caught:
         call()
+    assert type(caught.value) is error
 
 
 # each registry entry against the direct call; a != k catches swapped parameters
@@ -320,15 +384,17 @@ _DIRECT = {
 def test_operators_name_functions_of_the_module():
     # the registry holds names, so it never keeps a function the module
     # no longer binds
-    for name, (fn_name, takes_a, takes_k) in OPERATORS.items():
+    for name, (fn_name, least_a, least_k) in OPERATORS.items():
         assert type(fn_name) is str and callable(getattr(vertex, fn_name)), name
-        assert type(takes_a) is bool and type(takes_k) is bool, name
+        assert all(x is None or type(x) is int for x in (least_a, least_k)), name
 
 
 @pytest.mark.parametrize("name", list(OPERATORS))
 def test_apply_operator_dispatch(name):
     # named_operator is the dispatch behind ``symfunc apply --op``
-    _, takes_a, takes_k = OPERATORS[name]
-    op = named_operator(name, 1 if takes_a else None, 2 if takes_k else None)
+    _, least_a, least_k = OPERATORS[name]
+    op = named_operator(
+        name, 1 if least_a is not None else None, 2 if least_k is not None else None
+    )
     g = pn(2) * pn(1) + 2 * hn(2) + 3 * one
     assert op(g) == _DIRECT[name](g)
