@@ -8,11 +8,11 @@ Subcommands:
   count   --n N --k K [--method M]   same-shape tableau pairs of height <= k
   verify  [--max-degree D] [--suite NAME]   run invariant suites
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse errors, 3 internal faults (an
-exact computation that broke its own integrality check, or running out of
-memory).  Only verify imports symfunc.verify, the one module that knows the
-suite names.
+Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
+verification failure, 2 bad input (argparse's usage text for malformed argv,
+else ``error: <message>``, the library's own refusal), 3 internal faults (a
+broken integrality check, or out of memory).  Only verify imports
+symfunc.verify, the one module that knows the suite names.
 """
 
 from __future__ import annotations
@@ -62,14 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--verbose", action="store_true", help="also print per-composition terms as JSON"
     )
-    p_count.set_defaults(usage_error=p_count.error)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--max-degree", type=int, default=4)
     p_verify.add_argument(
         "--suite", action="append", help="run only this suite (repeatable)"
     )
-    p_verify.set_defaults(usage_error=p_verify.error)
 
     return parser
 
@@ -96,8 +94,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "count":
-            if args.n < 0 or args.k < 1:
-                args.usage_error("need --n >= 0 and --k >= 1")
             print(bounded_height_pairs(args.n, args.k, args.method))
             if args.verbose:
                 terms = [
@@ -108,8 +104,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         # verify: a subcommand is required, so it is the only one left
-        if args.max_degree < 0:
-            args.usage_error("--max-degree must be non-negative")
         from . import verify
 
         ok = verify.run_suites(args.suite, verify.Bounds(args.max_degree))

@@ -121,13 +121,16 @@ class SymFunc:
     @classmethod
     def sum(cls, pairs: Iterable[tuple[ScalarLike, "SymFunc"]]) -> "SymFunc":
         """The linear combination of ``pairs`` (c, g), for int or Fraction c (any
-        other c, a bool or 0.0 too, is a TypeError), in one pass into one dict over
-        the lcm of every c.denominator * g._den.  Zero terms are then skipped, a
-        lone g with c = 1 comes back whole, and no input's dict is written."""
+        other c, a bool or 0.0 too, is a TypeError) and SymFunc g (any other g is
+        a TypeError), in one pass into one dict over the lcm of every
+        c.denominator * g._den.  Zero terms are then skipped, a lone g with c = 1
+        comes back whole, and no input's dict is written."""
         live = []
         for c, g in pairs:
             if type(c) not in (int, Fraction):
                 raise TypeError(f"coefficients are int or Fraction, not {type(c).__name__}")
+            if not isinstance(g, SymFunc):
+                _need_symfunc(g)  # raises; the inline test spares a call per pair
             if c and g._terms:
                 live.append((c, g))
         if not live:
@@ -214,6 +217,13 @@ class SymFunc:
 
     def __repr__(self) -> str:
         return expand(self, "p").to_text() if self._terms else "0"
+
+
+def _need_symfunc(*operands: object) -> None:
+    """The one check of a SymFunc operand: a TypeError for anything else."""
+    for g in operands:
+        if not isinstance(g, SymFunc):
+            raise TypeError(f"operands are SymFunc, not {type(g).__name__}")
 
 
 def _product(a: SymFunc, b: SymFunc) -> SymFunc:
@@ -390,6 +400,7 @@ def basis_element(b: str, lam: Iterable[int]) -> SymFunc:
 
 def inner_product(g1: SymFunc, g2: SymFunc) -> Fraction:
     """Hall inner product, diagonal in power-sum coordinates."""
+    _need_symfunc(g1, g2)
     small, big = sorted((g1._terms, g2._terms), key=len)
     total = sum(c * big[lam] * z_value(lam) for lam, c in small.items() if lam in big)
     return Fraction(total, g1._den * g2._den)
@@ -426,6 +437,7 @@ def skew(g: SymFunc, target: SymFunc) -> SymFunc:
     and 0 when mu lacks some part of lam.  Each target index mu reads its
     table of sub-multisets, walking g's terms or the table, whichever is
     shorter."""
+    _need_symfunc(g, target)
     out: _IntDict = {}
     terms = g._terms
     for mu, d in target._terms.items():

@@ -154,7 +154,7 @@ def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
             raise ArithmeticError("pair count came out non-integral")
         return int(value)
     if method != "closed":
-        raise ValueError("method must be one of 'closed', 'det', 'brute'")
+        raise ValueError(f"method must be one of {', '.join(map(repr, PAIR_METHODS))}")
     total = sum(w for _, w in _closed_numerators(n, k))
     count, rem = divmod(total * math.factorial(n), math.factorial(n + k * (k - 1) // 2))
     if rem:

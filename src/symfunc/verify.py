@@ -35,6 +35,7 @@ from .partitions import (
     count_partitions,
     insert_parts,
     mult_count,
+    need_int,
     partitions_of,
     partitions_upto,
     remove_parts,
@@ -58,9 +59,10 @@ from .ring import (
 
 class Bounds:
     """Index ranges for the verification sweeps, all derived from one depth
-    ``degree`` (the command line's --max-degree)."""
+    ``degree`` (the command line's --max-degree), an int >= 0."""
 
-    def __init__(self, degree: int = 4) -> None:
+    def __init__(self, degree: int) -> None:
+        need_int(degree, 0, "degree")
         deep = degree >= 6
         self.degree = degree  # partition size for action laws and pairing tables
         self.identity_degree = min(degree, 6)  # total degree for operator identities
@@ -954,8 +956,12 @@ def run_criterion(num: int) -> tuple[str, bool, list[str]]:
     """Run acceptance criterion ``num``: its one-line report
     ``criterion N [PASS] desc (C cases, T.Ts)``, whether it passed, and its
     failures as ``check name: message``; a case count other than the pinned
-    one is a failure too."""
-    desc, want, checks = next(row[1:] for row in ACCEPTANCE if row[0] == num)
+    one is a failure too.  A number not in ACCEPTANCE is a ValueError."""
+    need_int(num, 1, "criterion")
+    rows = {row[0]: row[1:] for row in ACCEPTANCE}
+    if num not in rows:
+        raise ValueError(f"unknown criterion {num!r}; choose from {sorted(rows)}")
+    desc, want, checks = rows[num]
     start = time.perf_counter()
     results = [run_check(fn, Bounds(8)) for fn in checks]
     elapsed = time.perf_counter() - start

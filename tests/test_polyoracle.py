@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symfunc import polyoracle
@@ -99,3 +100,9 @@ def test_realizations_symmetric(b, lam):
     poly = realize(b, lam, v)
     for i in range(v - 1):
         assert {m[:i] + (m[i + 1], m[i]) + m[i + 2 :]: c for m, c in poly.items()} == poly
+
+
+def test_realize_refuses_an_unknown_basis():
+    with pytest.raises(ValueError) as caught:
+        realize("x", Partition((1,)), 2)
+    assert str(caught.value) == f"unknown basis 'x'; expected one of {BASES}"

@@ -141,6 +141,36 @@ def test_scalars_are_int_or_fraction():
         pn(1) * True
 
 
+def test_operands_are_symfunc():
+    # SymFunc.sum checks each term, so + and - refuse through it as well
+    g = hn(2)
+    for call in (
+        lambda: skew(3, g),
+        lambda: skew(g, 3),
+        lambda: inner_product(g, 3),
+        lambda: inner_product(3, g),
+        lambda: g + 3,
+        lambda: g - 3,
+        lambda: SymFunc.sum([(1, 3)]),
+        lambda: SymFunc.sum([(0, 3)]),
+    ):
+        with pytest.raises(TypeError, match="^operands are SymFunc, not int$") as caught:
+            call()
+        assert type(caught.value) is TypeError
+
+
+def test_equality_with_a_non_symfunc_is_false():
+    assert (hn(2) == 3) is False
+    assert (hn(2) != 3) is True
+    assert (SymFunc.one() == 1) is False
+
+
+def test_expand_refuses_an_unknown_basis():
+    with pytest.raises(ValueError) as caught:
+        expand(hn(2), "x")
+    assert str(caught.value) == f"unknown basis 'x'; expected one of {BASES}"
+
+
 # --- basis elements and conversions ----------------------------------------
 
 

@@ -105,7 +105,8 @@ def test_pairs_examples():
     assert bounded_height_pairs(3, 3, "brute") == 6
     with pytest.raises(ValueError):
         bounded_height_pairs(3, 0)
-    with pytest.raises(ValueError):
+    # the message is built from PAIR_METHODS, the table behind --method
+    with pytest.raises(ValueError, match="^method must be one of 'closed', 'det', 'brute'$"):
         bounded_height_pairs(3, 2, "magic")
 
 
@@ -178,6 +179,21 @@ def test_non_integral_closed_count_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(tableaux, "_closed_numerators", off_by_one)
     code = main(["count", "--n", "6", "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: pair count came out non-integral\n"
+
+
+def test_non_integral_det_count_exits_3(capsys, monkeypatch):
+    # half a pair more at every exponent: the det route's integrality check
+    original = tableaux.theta
+
+    def off_by_half(g):
+        return {m: c + Fraction(1, 2 * factorial(m)) for m, c in original(g).items()}
+
+    monkeypatch.setattr(tableaux, "theta", off_by_half)
+    code = main(["count", "--n", "4", "--k", "2", "--method", "det"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -152,3 +152,38 @@ def test_oracle_conversion_report_names_the_monomial(monkeypatch):
     )
     _, _, bad = verify.run_check(verify.check_oracle_conversions, Bounds(2))
     assert bad == ["h_[2] off at monomial (0, 2): direct 0, converted 1"]
+
+
+def test_bounds_refuse_a_bad_degree(capsys):
+    # the depth is checked where it is owned, before any check runs
+    with pytest.raises(ValueError, match="^degree must be >= 0$"):
+        verify.run_suites(None, Bounds(-1))
+    assert capsys.readouterr().out == ""
+    for bad, name in ((True, "bool"), (2.0, "float")):
+        with pytest.raises(TypeError, match=f"^degree must be an int, not {name}$"):
+            Bounds(bad)
+    with pytest.raises(TypeError):
+        Bounds()
+
+
+def test_run_criterion_refuses_an_unknown_number():
+    with pytest.raises(ValueError) as caught:
+        verify.run_criterion(9)
+    assert str(caught.value) == "unknown criterion 9; choose from [1, 2, 3, 4, 5, 6, 7]"
+    # True and 1.0 hash as 1, so only the type test keeps them from criterion 1
+    for bad, name in ((True, "bool"), (1.0, "float")):
+        with pytest.raises(TypeError, match=f"^criterion must be an int, not {name}$"):
+            verify.run_criterion(bad)
+
+
+def test_criterion_fails_on_a_case_count_off_its_pin(monkeypatch):
+    # the gate's guard against a shrunken (or grown) sweep: criterion 5 runs
+    # its 57 cases, pinned here at 58
+    rows = tuple(
+        (num, desc, want + (num == 5), checks) for num, desc, want, checks in verify.ACCEPTANCE
+    )
+    monkeypatch.setattr(verify, "ACCEPTANCE", rows)
+    line, ok, failures = verify.run_criterion(5)
+    assert "[FAIL]" in line
+    assert not ok
+    assert failures == ["ran 57 cases, not the pinned 58"]
