@@ -15,7 +15,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=10)
     parser.add_argument("--max-k", type=int, default=5)
-    parser.add_argument("--method", default="closed", choices=PAIR_METHODS)
+    parser.add_argument("--method", default=PAIR_METHODS[0], choices=PAIR_METHODS)
     args = parser.parse_args()
 
     ks = list(range(1, args.max_k + 1))

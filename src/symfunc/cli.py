@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--k", type=int, required=True)
-    p_count.add_argument("--method", choices=PAIR_METHODS, default="closed")
+    p_count.add_argument("--method", choices=PAIR_METHODS, default=PAIR_METHODS[0])
     p_count.add_argument(
         "--verbose", action="store_true", help="also print per-composition terms as JSON"
     )

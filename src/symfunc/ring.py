@@ -22,15 +22,15 @@ Six classical bases are supported, named by single letters:
 h is multiplicative, with h_n = sum_{mu |- n} p_mu / z_mu; e = omega h and
 f = omega m.  z_mu divides n! for mu |- n (n!/z_mu is the size of a class of
 S_n), so h_n, s_lam and m_lam have integer numerators over n!: for s_lam the
-character chi^lam(mu), by the Murnaghan-Nakayama rule; for m_lam the h_lam
-coordinate of p_mu, since m is dual to h.  The Jacobi-Trudi determinant over
-h stays as an independent route to s and to signed sequences.  One memo,
-keyed by basis and partition, holds every conversion, so repeated use is
-cheap.  The index work is memoized too: skew reads, for each target index
-mu, a cached table of the sub-multisets of mu with their remainders and z
-ratios, and the product reads the merged index of each pair of indices
-from a memo.  SymFunc values are immutable once built and all functions
-are pure; concurrent readers are safe and cache refills are idempotent.
+character chi^lam(mu), by the Murnaghan-Nakayama rule over one bounded memo
+of sub-states that all shapes share; for m_lam the h_lam coordinate of p_mu,
+since m is dual to h.  The Jacobi-Trudi determinant over h stays as an
+independent route to s and to signed sequences.  One memo, keyed by basis and
+partition, holds every conversion, so repeated use is cheap.  Skew reads, for
+each target index mu, a cached table of the sub-multisets of mu with their
+remainders and z ratios, and the product reads the merged index of each pair
+of indices from a memo.  SymFunc values are immutable once built and all
+functions are pure; concurrent readers are safe and refills are idempotent.
 """
 
 from __future__ import annotations
@@ -313,36 +313,36 @@ def _class_sum(n: int, coordinate) -> SymFunc:
     return SymFunc._reduced(terms, nf)
 
 
+@lru_cache(maxsize=1 << 13)
+def _chi(mask: int, rest: tuple[int, ...]) -> int:
+    """chi^lam(rest) by the Murnaghan-Nakayama rule on beta-sets: bit b of
+    ``mask`` marks a hook length lam_i + l - i, and a rim hook of size r moves
+    a set bit b to a clear bit b - r, with sign (-1)^(bits jumped over).  A
+    sub-state drops its trailing one bits (empty rows), so all shapes share
+    it; the sign holds, as a hook lands on a clear bit above them."""
+    if not rest:
+        return 1
+    r = rest[0]
+    between = (1 << (r - 1)) - 1
+    total = 0
+    movable = (mask & ~(mask << r)) >> r << r
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        moved = mask ^ low ^ (low >> r)
+        sub = _chi(moved >> ((~moved & (moved + 1)).bit_length() - 1), rest[1:])
+        if sub:
+            jumped = (mask >> (low.bit_length() - r)) & between
+            total += -sub if jumped.bit_count() % 2 else sub
+    return total
+
+
 def _s_p(lam: Partition) -> SymFunc:
-    """Schur function: <s_lam, p_mu> is the character chi^lam(mu), by the
-    Murnaghan-Nakayama rule on beta-sets.  Bit b of a mask marks a first
-    column hook length lam_i + l - i; removing a rim hook of size r moves a
-    set bit b down to a clear bit b - r, with sign (-1)^(bits jumped over)."""
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def chi(mask: int, rest: tuple[int, ...]) -> int:
-        if not rest:
-            return 1
-        key = (mask, rest)
-        total = memo.get(key)
-        if total is None:
-            r = rest[0]
-            between = (1 << (r - 1)) - 1
-            total = 0
-            movable = (mask & ~(mask << r)) >> r << r
-            while movable:
-                low = movable & -movable
-                movable ^= low
-                sub = chi(mask ^ low ^ (low >> r), rest[1:])
-                if sub:
-                    jumped = (mask >> (low.bit_length() - r)) & between
-                    total += -sub if jumped.bit_count() % 2 else sub
-            memo[key] = total
-        return total
-
-    top = len(lam) - 1
-    start = sum(1 << (p + top - j) for j, p in enumerate(lam))
-    return _class_sum(sum(lam), lambda mu: chi(start, mu))
+    """Schur function: <s_lam, p_mu> = chi^lam(mu).  Each top-level (lam, mu)
+    skips the memo: it never recurs once s_lam is in _basis_p, and would
+    evict the shared sub-states."""
+    start = sum(1 << (p + len(lam) - 1 - j) for j, p in enumerate(lam))
+    return _class_sum(sum(lam), lambda mu: _chi.__wrapped__(start, mu))
 
 
 @lru_cache(maxsize=None)

@@ -131,8 +131,9 @@ def rs0_power_expansion(n: int, k: int) -> SymFunc:
     )
 
 
-def bounded_height_pairs(n: int, k: int, method: str = "brute") -> int:
-    """Number of pairs of same-shape standard tableaux with at most k rows.
+def bounded_height_pairs(n: int, k: int, method: str = PAIR_METHODS[0]) -> int:
+    """Number of pairs of same-shape standard tableaux with at most k rows,
+    by ``method``, closed (``PAIR_METHODS[0]``, the one default) unless named.
 
     closed: sum over compositions s of n into k parts of
         multinomial(n; s) * prod_{i<j} (s_j + j - (s_i + i))

@@ -93,12 +93,13 @@ def test_threaded_fills_match_a_single_thread():
         assert _cache_state() == reference_state
 
 
-def test_the_memos_are_the_seven_listed():
-    # ROADMAP item 3 lists these; a new memo belongs in that list too.
+def test_every_memo_is_listed():
+    # ROADMAP item 4 lists these; a new memo belongs in that list too.
     assert sorted(ALL_CACHES) == [
         "symfunc.partitions._all_partitions",
         "symfunc.polyoracle._realize_p",
         "symfunc.ring._basis_p",
+        "symfunc.ring._chi",
         "symfunc.ring._merged",
         "symfunc.ring._p_h",
         "symfunc.ring._sub_table",

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,6 +396,16 @@ def test_monomial_conversion_against_known_values():
 def test_schur_equals_jacobi_trudi_through_degree_10():
     for lam in all_parts_upto(10):
         assert basis_element("s", lam) == jacobi_trudi(lam), lam
+
+
+def test_schur_survives_eviction_of_the_character_memo(monkeypatch):
+    # a memo of four sub-states evicts on nearly every call, so every
+    # character is rebuilt from evicted and refilled states
+    monkeypatch.setattr(ring, "_chi", lru_cache(maxsize=4)(ring._chi.__wrapped__))
+    ring._basis_p.cache_clear()
+    for lam in all_parts_upto(12):
+        assert basis_element("s", lam) == jacobi_trudi(lam), lam
+    assert ring._chi.cache_info().currsize == 4
 
 
 def test_monomial_h_duality_degrees_9_and_10():

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from math import factorial
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symfunc.tableaux as tableaux
-from symfunc.cli import main
+from symfunc.cli import _build_parser, main
 from symfunc.partitions import Partition, compositions_of, partitions_of
 from symfunc.ring import SymFunc, basis_element, expand, hn
 from symfunc.tableaux import (
@@ -108,6 +109,12 @@ def test_pairs_examples():
     # the message is built from PAIR_METHODS, the table behind --method
     with pytest.raises(ValueError, match="^method must be one of 'closed', 'det', 'brute'$"):
         bounded_height_pairs(3, 2, "magic")
+
+
+def test_count_and_the_library_share_one_default():
+    library = inspect.signature(bounded_height_pairs).parameters["method"].default
+    args = _build_parser().parse_args(["count", "--n", "3", "--k", "2"])
+    assert library == args.method == PAIR_METHODS[0] == "closed"
 
 
 @given(st.integers(0, 7), st.integers(1, 4))
