@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from symfunc import cli, polyoracle, tableaux, verify, vertex
+from symfunc import cli, polyoracle, ring, tableaux, verify, vertex
 from symfunc.ring import basis_element
 from symfunc.verify import Bounds
 
@@ -152,6 +152,43 @@ def test_oracle_conversion_report_names_the_monomial(monkeypatch):
     )
     _, _, bad = verify.run_check(verify.check_oracle_conversions, Bounds(2))
     assert bad == ["h_[2] off at monomial (0, 2): direct 0, converted 1"]
+
+
+def test_oracle_symmetry_report_names_the_swap(monkeypatch):
+    # Dropping x2^2 from the realization of h_2 leaves x1^2 + x1 x2, which the
+    # swap of x1 and x2 moves; the report names the function and the swap.
+    original = polyoracle.realize
+
+    def lopsided(b, lam, v):
+        poly = original(b, lam, v)
+        return {m: c for m, c in poly.items() if m != (0, 2)} if (b, lam) == ("h", (2,)) else poly
+
+    monkeypatch.setattr(polyoracle, "realize", lopsided)
+    _, _, bad = verify.run_check(verify.check_oracle_symmetry, Bounds(2))
+    assert bad == ["realization of h_[2] not symmetric in x1,x2"]
+
+
+def test_jacobi_trudi_check_sees_a_doubled_determinant(monkeypatch):
+    # The check compares s with the library's own determinant, so a fault in
+    # ring.jacobi_trudi shows in the gate.
+    _, cases, bad = verify.run_check(verify.check_jacobi_trudi, Bounds(3))
+    assert cases and not bad, bad
+    original = verify.jacobi_trudi
+    monkeypatch.setattr(verify, "jacobi_trudi", lambda lam: 2 * original(lam))
+    _, patched_cases, patched_bad = verify.run_check(verify.check_jacobi_trudi, Bounds(3))
+    assert patched_cases == cases
+    assert patched_bad
+
+
+def test_dual_pairing_check_reads_the_dual_basis_table(monkeypatch):
+    # The pairing tables come from ring.DUAL_BASIS, the table expand uses, so
+    # a wrong dual there is a failed check.
+    _, cases, bad = verify.run_check(verify.check_dual_pairings, Bounds(2))
+    assert cases and not bad, bad
+    monkeypatch.setitem(ring.DUAL_BASIS, "m", "e")
+    _, patched_cases, patched_bad = verify.run_check(verify.check_dual_pairings, Bounds(2))
+    assert patched_cases == cases
+    assert patched_bad
 
 
 def test_bounds_refuse_a_bad_degree(capsys):
