@@ -411,6 +411,7 @@ def omega(g: SymFunc) -> SymFunc:
 
     Consequently omega h = e, omega m = f and omega s_lam = s_{lam'}.
     """
+    _need_symfunc(g)
     return SymFunc._raw({lam: c * _omega_sign(lam) for lam, c in g._terms.items()}, g._den)
 
 
@@ -458,6 +459,7 @@ def skew(g: SymFunc, target: SymFunc) -> SymFunc:
 
 def expand(g: SymFunc, b: str) -> BasisExpansion:
     """Expansion of ``g`` in basis ``b`` via pairing against the dual basis."""
+    _need_symfunc(g)
     if b not in BASES:
         raise ValueError(f"unknown basis {b!r}; expected one of {BASES}")
     if b == "p":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Optional
@@ -214,7 +214,7 @@ def check_expand_roundtrip(b: Bounds) -> Iterator[Optional[str]]:
                 yield None if ok else f"expand roundtrip {src}_{lam} via {dst}"
 
 
-@check("ring: Schur = naive h-determinant")
+@check("ring: Schur = Jacobi-Trudi determinant")
 def check_jacobi_trudi(b: Bounds) -> Iterator[Optional[str]]:
     for lam in partitions_upto(min(b.degree, 8)):
         ok = basis_element("s", lam) == jacobi_trudi(lam)
@@ -582,19 +582,22 @@ def _check_paired(
     mu of length <= k when ``short``; by is a key of _SKEW_BY, and x, y are
     OPERATORS names, taking k alone when ``least_a`` is None, else a and k.
     vertex.named_operator binds both when the check runs, so a replaced
-    operator is checked.  The images y(basis_mu) come from vertex._image,
-    which cs_column reads too: the two sides share that cache, not a summing
-    loop."""
+    operator is checked.  Each side applies y to each basis_mu itself, once
+    per (a, k), while x sums y's action law, so no image is shared."""
     for a in (None,) if least_a is None else range(least_a, b.a_max + 1):
         for k in range(least_k, b.k_max + 1):
             at = f"k={k}" if a is None else f"a={a}, k={k}"
+            images = [
+                cache(lambda mu, op=vertex.named_operator(y, a, k), basis=basis: (
+                    1, op(basis_element(basis, mu))
+                ))
+                for _, _, y, basis in sides
+            ]
             for lam, g in _basis_upto("p", b.identity_degree):
                 mus = list(partitions_upto(g.degree(), max_length=k if short else None))
-                for x, by, y, basis in sides:
-                    op = vertex.named_operator(y, a, k)
+                for (x, by, y, basis), image in zip(sides, images):
                     ok = vertex.named_operator(x, a, k)(g) == _signed_perp_sum(
-                        g, mus, _SKEW_BY[by],
-                        lambda mu: (1, vertex._image(op.func, op.args, basis, mu)),
+                        g, mus, _SKEW_BY[by], image
                     )
                     yield None if ok else f"{x} != sum {y}({basis}) {by}-skew at {at}, p_{lam}"
 

@@ -34,7 +34,9 @@ terms of length <= k, and cs directly.
 
 rm_row_one and rm_row are built from rm_rows: the first is its k = 1 case,
 the second a signed sum of rm_rows(a, k + 1) after skewing by h_a^k.
-Likewise rs_row is rs_rows(a, 1).
+Likewise rs_row is rs_rows(a, 1).  Each paired adder sums its partner's
+action law and calls no operator: CH reads CE's, RMK and CM each other's,
+RSK reads CS's and CS reads RSK's, the straightened s_{(a^k, lam)}.
 
 Three operators are the omega-images of three others and are computed that
 way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
@@ -49,7 +51,7 @@ named_operator(name, a, k) check against that row, so binding calls nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .partitions import (
@@ -61,6 +63,7 @@ from .partitions import (
     mult_count,
     need_int,
     partitions_upto,
+    straighten,
     z_value,
 )
 from .ring import BasisExpansion, SymFunc, basis_element, expand, omega, pn, skew
@@ -149,8 +152,6 @@ def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     for a >= 1 only.
     """
     _check_params("RMK", a, k)
-    if k == 0:
-        return g
     return _perp_sum(
         g,
         partitions_upto(g.degree(), max_length=k),
@@ -243,8 +244,6 @@ def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     """Closed form of the k-th power of the Schur row adder:
     sum over l(lam) <= k of (-1)^{|lam|} s_{lam + a^k} s_{lam'}^perp."""
     _check_params("RSK", a, k)
-    if k == 0:
-        return g
     return _perp_sum(
         g,
         partitions_upto(g.degree(), max_length=k),
@@ -253,30 +252,25 @@ def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     )
 
 
-@lru_cache(maxsize=None)
-def _image(op: Callable[..., SymFunc], params: tuple, basis: str, lam: Partition) -> SymFunc:
-    """op(*params, b_lam), the image of one basis element, for cs_column and
-    the paired checks in ``verify``.  Keyed by the function object, so an
-    operator replaced at run time never reads another's images."""
-    return op(*params, basis_element(basis, lam))
-
-
 def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
     """Column adder for Schur indices:
 
-        sum over lam of (-1)^{|lam|} (rs_rows(a, k) s_lam) s_{lam'}^perp.
+        sum over lam of (-1)^{|lam|} (RS_a^k s_lam) s_{lam'}^perp.
 
     Sends s_lam to s_{lam + a^k} when l(lam) <= k and to 0 when l(lam) > k.
     With a = 0 it therefore projects a Schur expansion onto shapes of at
     most k rows.  k = 0 reduces to constant-term extraction.  Each image
-    rs_rows(a, k) s_lam comes from _image under the current rs_rows.
+    RS_a^k s_lam is read from the law of that power of the row adder, the
+    straightened s_{(a^k, lam)}: a sign times one Schur function, or 0.
     """
     _check_params("CS", a, k)
+
+    def image(lam: Partition) -> tuple[int, SymFunc]:
+        sign, shape = straighten((a,) * k + lam)  # sign 0: the image is 0
+        return _sign(lam) * sign, (basis_element("s", shape) if sign else SymFunc.zero())
+
     return _perp_sum(
-        g,
-        partitions_upto(g.degree()),
-        lambda lam: basis_element("s", conjugate(lam)),
-        lambda lam: (_sign(lam), _image(rs_rows, (a, k), "s", lam)),
+        g, partitions_upto(g.degree()), lambda lam: basis_element("s", conjugate(lam)), image
     )
 
 

@@ -5,7 +5,7 @@ it, so fingerprint each cached value, run the public operations over the
 same degrees, and require every value to come out unchanged.
 """
 
-from symfunc import polyoracle, ring, vertex
+from symfunc import polyoracle, ring
 from symfunc.partitions import partitions_of, partitions_upto
 from symfunc.ring import BASES, SymFunc, basis_element, expand, inner_product, omega, skew
 from symfunc.tableaux import bounded_height_pairs
@@ -18,8 +18,7 @@ ORACLE_VARS = 4  # the polynomial oracle's memo, at degrees up to 4
 def _cached_values():
     """The one conversion memo, every basis at every shape up to DEGREE, the
     integer p -> h table behind it, the skew's sub-multiset tables, the
-    merged product indices, the operator images that the sweep's CS
-    reads, and the oracle's power-sum polynomials."""
+    merged product indices and the oracle's power-sum polynomials."""
     shapes = list(partitions_upto(DEGREE))
     for lam in shapes:
         for b in BASES:
@@ -29,8 +28,6 @@ def _cached_values():
         for mu in shapes:
             if sum(lam) + sum(mu) <= DEGREE:
                 yield ("_merged", lam, mu), ring._merged(lam, mu)
-        if sum(lam) <= 3:
-            yield ("_image", lam), vertex._image(vertex.rs_rows, (2, 2), "s", lam)
         if sum(lam) <= ORACLE_VARS:
             yield ("_realize_p", lam), polyoracle._realize_p(lam, ORACLE_VARS)
 

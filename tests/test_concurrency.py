@@ -103,5 +103,4 @@ def test_every_memo_is_listed():
         "symfunc.ring._merged",
         "symfunc.ring._p_h",
         "symfunc.ring._sub_table",
-        "symfunc.vertex._image",
     ]

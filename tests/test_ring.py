@@ -154,6 +154,8 @@ def test_operands_are_symfunc():
         lambda: g - 3,
         lambda: SymFunc.sum([(1, 3)]),
         lambda: SymFunc.sum([(0, 3)]),
+        lambda: expand(3, "s"),
+        lambda: omega(3),
     ):
         with pytest.raises(TypeError, match="^operands are SymFunc, not int$") as caught:
             call()
