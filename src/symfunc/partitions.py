@@ -58,10 +58,18 @@ def need_int(value: int, least: int, name: str) -> None:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram: column lengths of ``lam``."""
-    if not lam:
-        return EMPTY
-    return _wrap(tuple(sum(1 for p in lam if p > i) for i in range(lam[0])))
+    """Transpose of the Young diagram: column lengths of ``lam``.
+
+    Built from the run lengths of ``lam``, bottom row first: the columns
+    past lam_{i+1} up to lam_i have length i, so row i contributes
+    lam_i - lam_{i+1} parts equal to i."""
+    out: list[int] = []
+    below = 0
+    for i in range(len(lam), 0, -1):
+        part = lam[i - 1]
+        out += [i] * (part - below)
+        below = part
+    return _wrap(tuple(out))
 
 
 def mult_count(lam: Partition, i: int) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .partitions import (
     Composition,
@@ -31,7 +31,7 @@ from .partitions import (
     need_int,
     partitions_of,
 )
-from .ring import SymFunc, hn, jacobi_trudi
+from .ring import SymFunc, _need_symfunc, hn, jacobi_trudi
 from .vertex import cs_column
 
 PAIR_METHODS = ("closed", "det", "brute")
@@ -84,6 +84,7 @@ def theta(g: SymFunc) -> dict[int, Fraction]:
     function s_lam maps to f_lam x^{|lam|} / |lam|!.  Each exponent m has
     the single all-ones index 1^m, so nothing accumulates.
     """
+    _need_symfunc(g)
     return {len(lam): c for lam, c in g.items() if all(part == 1 for part in lam)}
 
 
@@ -138,7 +139,9 @@ def bounded_height_pairs(n: int, k: int, method: str = PAIR_METHODS[0]) -> int:
     closed: sum over compositions s of n into k parts of
         multinomial(n; s) * prod_{i<j} (s_j + j - (s_i + i))
                           / prod_i (s_i + i - 1)!  * n!,
-            summed as integer numerators with one exact division at the end.
+            summed as integer numerators by ``_closed_total``, which returns
+            the total of each prefix's subtree in place of listing its
+            compositions, with one exact division at the end.
     det:    n! times the x^n coefficient of theta(bounded_height_schur_sum).
     brute:  sum the squared hook-length counts directly.
     """
@@ -156,7 +159,7 @@ def bounded_height_pairs(n: int, k: int, method: str = PAIR_METHODS[0]) -> int:
         return int(value)
     if method != "closed":
         raise ValueError(f"method must be one of {', '.join(map(repr, PAIR_METHODS))}")
-    total = sum(w for _, w in _closed_numerators(n, k))
+    total = _closed_total(n, k)
     count, rem = divmod(total * math.factorial(n), math.factorial(n + k * (k - 1) // 2))
     if rem:
         raise ArithmeticError("pair count came out non-integral")
@@ -171,24 +174,17 @@ def closed_form_terms(n: int, k: int) -> Iterator[tuple[Composition, Fraction]]:
     return ((s, scale * w) for s, w in _closed_numerators(n, k))
 
 
-def _closed_numerators(n: int, k: int) -> Iterator[tuple[Composition, int]]:
-    """(s, multinomial(n; s) * multinomial(N; u) * V(u)) for each composition
-    s of n into k parts, in ``compositions_of`` order, zeros included.
+def _closed_tables(n: int, k: int) -> tuple[list[int], Callable[[int, int], list[int]]]:
+    """The binomial tables of the closed-form numerators, for k >= 2: the
+    row ``last`` of the last part, whose prefix sums are n and N, and
+    ``row(j, S)``, the row of part j >= 0 after a prefix summing to S.
 
-    Here u_i = s_i + i, N = n + k(k-1)/2 and V(u) = prod_{i<j} (u_j - u_i).
-    Since n! / prod_i u_i! = (n!/N!) * multinomial(N; u), the closed-form term
-    of s is n!/N! times its value.  Both multinomials are products over the
-    parts of binomials of prefix sums, so choosing s_j after a prefix with
-    sums S and U multiplies the prefix weight by C(S + s_j, s_j) *
-    C(U + u_j, u_j) * prod_{i<j} (u_j - u_i).  Each prefix weight is shared
-    by its whole subtree, and every leaf costs about 2k integer
-    multiplications, with no division.
+    Here u_i = s_i + i and N = n + k(k-1)/2.  Both multinomials of the
+    closed form are products over the parts of binomials of prefix sums, so
+    choosing s_j after a prefix with sums S and U multiplies the prefix
+    weight by row(j, S)[s_j] = C(S + s_j, s_j) * C(U + u_j, u_j).
     """
-    if k == 1:
-        yield (n,), 1
-        return
     big = n + k * (k - 1) // 2
-    # the binomials of the last part, whose prefix sums are n and N
     last = [math.comb(n, s) * math.comb(big, s + k - 1) for s in range(n + 1)]
     # a row of level j >= 2 serves every prefix with the same sum, so it is
     # kept; a level-1 row serves exactly one prefix
@@ -209,6 +205,65 @@ def _closed_numerators(n: int, k: int) -> Iterator[tuple[Composition, int]]:
             if j > 1:
                 rows[j, S] = out
         return out
+
+    return last, row
+
+
+def _closed_total(n: int, k: int) -> int:
+    """The sum of the closed-form numerators of ``_closed_numerators(n, k)``.
+
+    Each level returns the integer total of a prefix's subtree, which the
+    level above multiplies by the prefix's own binomial and Vandermonde
+    factors, so a factor shared by a subtree is applied once and a zero
+    factor prunes it.  The last level is one loop over the second-to-last
+    part: its leaf multiplies the Vandermonde factors
+    (u_l - u_j) * prod_i (u_j - u_i)(u_l - u_i) as small integers first, and
+    the two big binomial rows come in with two multiplications.
+    """
+    if k == 1:
+        return 1
+    last, row = _closed_tables(n, k)
+
+    def subtree(j: int, rest: int, u: tuple) -> int:
+        binom = row(j, n - rest)
+        total = 0
+        if j < k - 2:
+            for sj in range(rest + 1):
+                uj = sj + j
+                v = binom[sj]
+                for ui in u:
+                    v *= uj - ui
+                if v:
+                    total += v * subtree(j + 1, rest - sj, u + (uj,))
+            return total
+        for sj in range(rest + 1):
+            uj = sj + j
+            ul = rest - sj + k - 1  # the last part takes what is left
+            v = ul - uj
+            for ui in u:
+                v *= (uj - ui) * (ul - ui)
+            if v:
+                total += binom[sj] * last[rest - sj] * v
+        return total
+
+    return subtree(0, n, ())
+
+
+def _closed_numerators(n: int, k: int) -> Iterator[tuple[Composition, int]]:
+    """(s, multinomial(n; s) * multinomial(N; u) * V(u)) for each composition
+    s of n into k parts, in ``compositions_of`` order, zeros included: the
+    per-composition listing behind ``closed_form_terms``.
+
+    Here u_i = s_i + i, N = n + k(k-1)/2 and V(u) = prod_{i<j} (u_j - u_i).
+    Since n! / prod_i u_i! = (n!/N!) * multinomial(N; u), the closed-form term
+    of s is n!/N! times its value.  Each prefix weight, a product of the
+    ``_closed_tables`` rows and the Vandermonde factors so far, is shared by
+    its whole subtree; the count sums the same values by ``_closed_total``.
+    """
+    if k == 1:
+        yield (n,), 1
+        return
+    last, row = _closed_tables(n, k)
 
     def extend(j: int, rest: int, weight: int, s: tuple, u: tuple) -> Iterator:
         binom = row(j, n - rest)

@@ -66,7 +66,7 @@ from .partitions import (
     straighten,
     z_value,
 )
-from .ring import BasisExpansion, SymFunc, basis_element, expand, omega, pn, skew
+from .ring import BasisExpansion, SymFunc, _need_symfunc, basis_element, expand, omega, pn, skew
 
 
 def _sign(lam: Partition) -> int:
@@ -96,7 +96,7 @@ def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
     and beyond is whatever the sum produces.  k = 0 is the identity, and so
     is a = 0 (setting p_0 = 1 collapses every term but lam = empty).
     """
-    _check_params("CP", a, k)
+    _check_params("CP", g, a=a, k=k)
     if k == 0 or a == 0 or g.is_zero:
         return g
 
@@ -114,7 +114,7 @@ def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
 def ch_column(k: int, g: SymFunc) -> SymFunc:
     """Add a column 1^k to homogeneous indices:
     sum over l(lam) <= k of (-1)^{|lam|} e_{lam + 1^k} m_lam^perp."""
-    _check_params("CH", k=k)
+    _check_params("CH", g, k=k)
     return _perp_sum(
         g,
         partitions_upto(g.degree(), max_length=k),
@@ -137,7 +137,7 @@ def rm_row_one(a: int, g: SymFunc) -> SymFunc:
 
     That is rm_rows(a, 1).  Sends m_lam to (1 + n_a(lam)) m_{lam + (a)}.
     """
-    _check_params("RM1", a)
+    _check_params("RM1", g, a=a)
     return rm_rows(a, 1, g)
 
 
@@ -151,7 +151,7 @@ def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     normalization of the action survives there, so the law above is stated
     for a >= 1 only.
     """
-    _check_params("RMK", a, k)
+    _check_params("RMK", g, a=a, k=k)
     return _perp_sum(
         g,
         partitions_upto(g.degree(), max_length=k),
@@ -169,7 +169,7 @@ def rm_row(a: int, g: SymFunc) -> SymFunc:
     which is the sum over k >= 0 of (-1)^k rm_rows(a, k + 1) o (h_a^k)^perp.
     Sends m_lam to m_{lam + (a)}.
     """
-    _check_params("RM", a)
+    _check_params("RM", g, a=a)
     return SymFunc.sum(
         ((-1) ** k, rm_rows(a, k + 1, skew(basis_element("h", Partition((a,) * k)), g)))
         for k in range(g.degree() // a + 1)
@@ -199,7 +199,7 @@ def cm_column(a: int, k: int, g: SymFunc) -> SymFunc:
     still applies, and there it collapses to projecting the monomial
     expansion onto terms of length <= k; that is how a = 0 is computed.
     """
-    _check_params("CM", a, k)
+    _check_params("CM", g, a=a, k=k)
     if a == 0:
         kept = {mu: c for mu, c in expand(g, "m").terms.items() if len(mu) <= k}
         return BasisExpansion("m", kept).to_symfunc()
@@ -243,7 +243,7 @@ def rs_row(a: int, g: SymFunc) -> SymFunc:
 def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     """Closed form of the k-th power of the Schur row adder:
     sum over l(lam) <= k of (-1)^{|lam|} s_{lam + a^k} s_{lam'}^perp."""
-    _check_params("RSK", a, k)
+    _check_params("RSK", g, a=a, k=k)
     return _perp_sum(
         g,
         partitions_upto(g.degree(), max_length=k),
@@ -263,7 +263,7 @@ def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
     RS_a^k s_lam is read from the law of that power of the row adder, the
     straightened s_{(a^k, lam)}: a sign times one Schur function, or 0.
     """
-    _check_params("CS", a, k)
+    _check_params("CS", g, a=a, k=k)
 
     def image(lam: Partition) -> tuple[int, SymFunc]:
         sign, shape = straighten((a,) * k + lam)  # sign 0: the image is 0
@@ -280,6 +280,7 @@ def t_minus_x(g: SymFunc) -> SymFunc:
     This is what the operator sum over (-1)^{|lam|} s_lam s_{lam'}^perp
     evaluates to; see ``t_minus_x_sum`` for that form, kept as an oracle.
     """
+    _need_symfunc(g)
     return g.homogeneous_part(0)
 
 
@@ -344,11 +345,15 @@ OPERATORS: dict[str, tuple[str, Optional[int], Optional[int]]] = {
 }
 
 
-def _check_params(name: str, a: Optional[int] = None, k: Optional[int] = None) -> None:
-    """need_int on ``a`` and ``k`` with the least values of OPERATORS[name]."""
+def _check_params(
+    name: str, *operands: object, a: Optional[int] = None, k: Optional[int] = None
+) -> None:
+    """need_int on ``a`` and ``k`` with the least values of OPERATORS[name],
+    then _need_symfunc on the ``operands``."""
     for flag, value, least in zip("ak", (a, k), OPERATORS[name][1:]):
         if least is not None:
             need_int(value, least, flag)
+    _need_symfunc(*operands)
 
 
 def named_operator(
@@ -363,5 +368,5 @@ def named_operator(
         if (value is None) != (least is None):
             need = "requires" if value is None else "takes no"
             raise ValueError(f"operator {name} {need} --{flag}")
-    _check_params(name, a, k)
+    _check_params(name, a=a, k=k)
     return partial(globals()[OPERATORS[name][0]], *(x for x in (a, k) if x is not None))

@@ -95,13 +95,13 @@ def test_count_clamps_height_to_n(capsys, monkeypatch):
     from symfunc import tableaux
 
     seen = []
-    original = tableaux._closed_numerators
+    original = tableaux._closed_total
 
     def spy(n, k):
         seen.append(k)
         return original(n, k)
 
-    monkeypatch.setattr(tableaux, "_closed_numerators", spy)
+    monkeypatch.setattr(tableaux, "_closed_total", spy)
     code, out, _ = run_cli(capsys, "count", "--n", "2", "--k", "300")
     assert (code, out, seen) == (0, "2\n", [2])
 

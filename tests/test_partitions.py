@@ -45,6 +45,16 @@ def test_conjugate(lam, want):
     assert conjugate(Partition(lam)) == want
 
 
+def test_conjugate_is_the_column_count():
+    # column i of lam holds the parts longer than i
+    for n in range(21):
+        for lam in partitions_of(n):
+            columns = range(lam[0] if lam else 0)
+            got = conjugate(lam)
+            assert type(got) is Partition, lam
+            assert got == tuple(sum(1 for p in lam if p > i) for i in columns), lam
+
+
 @given(parts_strategy)
 def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam

@@ -177,14 +177,21 @@ def test_closed_terms_match_literal_formula():
             assert list(closed_form_terms(n, k)) == want, (n, k)
 
 
+def test_closed_count_sums_the_listed_terms():
+    # the count's recursion against the per-composition listing of count --verbose
+    for n in range(17):
+        for k in range(1, 8):
+            listed = sum(term for _, term in closed_form_terms(n, k))
+            assert bounded_height_pairs(n, k, "closed") == listed, (n, k)
+
+
 def test_non_integral_closed_count_exits_3(capsys, monkeypatch):
-    numerators = tableaux._closed_numerators
+    total = tableaux._closed_total
 
     def off_by_one(n, k):
-        for i, (s, w) in enumerate(numerators(n, k)):
-            yield s, w + (i == 0)
+        return total(n, k) + 1
 
-    monkeypatch.setattr(tableaux, "_closed_numerators", off_by_one)
+    monkeypatch.setattr(tableaux, "_closed_total", off_by_one)
     code = main(["count", "--n", "6", "--k", "3"])
     captured = capsys.readouterr()
     assert code == 3

@@ -20,6 +20,7 @@ from symfunc.tableaux import (
     bounded_height_schur_sum,
     catalan,
     closed_form_terms,
+    theta,
 )
 from symfunc.verify import ce_column_literal, cf_column_literal, rf_row_literal
 from symfunc.vertex import (
@@ -345,6 +346,26 @@ _REFUSALS = {
     **_refusals("closed_form_terms n", lambda x: closed_form_terms(x, 2), "n", 0),
     **_refusals("closed_form_terms k", lambda x: closed_form_terms(3, x), "k", 1),
     **_refusals("catalan", catalan, "n", 0),
+    # an operand that is not a SymFunc, one case per public operator
+    **{
+        f"{label} operand": (call, TypeError, "operands are SymFunc, not int")
+        for label, call in (
+            ("cp_column", lambda: cp_column(1, 2, 3)),
+            ("ch_column", lambda: ch_column(2, 3)),
+            ("ce_column", lambda: ce_column(2, 3)),
+            ("rm_row_one", lambda: rm_row_one(1, 3)),
+            ("rm_rows", lambda: rm_rows(1, 2, 3)),
+            ("rm_row", lambda: rm_row(1, 3)),
+            ("rf_row", lambda: rf_row(1, 3)),
+            ("cm_column", lambda: cm_column(1, 2, 3)),
+            ("cf_column", lambda: cf_column(1, 2, 3)),
+            ("rs_row", lambda: rs_row(1, 3)),
+            ("rs_rows", lambda: rs_rows(1, 2, 3)),
+            ("cs_column", lambda: cs_column(1, 1, 3)),
+            ("t_minus_x", lambda: t_minus_x(3)),
+            ("theta", lambda: theta(3)),
+        )
+    },
     # a float that would bind and then fail inside a bit shift on use
     "named_operator CS a=1.0": (
         lambda: named_operator("CS", 1.0, 2), TypeError, "a must be an int, not float"
