@@ -24,10 +24,10 @@ f = omega m.  z_mu divides n! for mu |- n (n!/z_mu is the size of a class of
 S_n), so h_n, s_lam and m_lam have integer numerators over n!: for s_lam the
 character chi^lam(mu), by the Murnaghan-Nakayama rule over one bounded memo
 of sub-states that all shapes share; for m_lam the h_lam coordinate of p_mu,
-since m is dual to h.  The Jacobi-Trudi determinant over h stays as an
-independent route to s and to signed sequences.  One memo, keyed by basis and
-partition, holds every conversion, so repeated use is cheap.  Skew reads, for
-each target index mu, a cached table of the sub-multisets of mu with their
+since m is dual to h.  The Jacobi-Trudi determinant, expanded over the
+commuting h's and converted to p once, is a second route to s.  One memo,
+keyed by basis and partition, holds every conversion.  Skew reads, for each
+target index mu, a cached table of the sub-multisets of mu with their
 remainders and z ratios, and the product reads the merged index of each pair
 of indices from a memo.  SymFunc values are immutable once built and all
 functions are pure; concurrent readers are safe and refills are idempotent.
@@ -277,32 +277,40 @@ class BasisExpansion(NamedTuple):
 
 def jacobi_trudi(seq: Iterable[int]) -> SymFunc:
     """The determinant det|h_{seq_j - j + i}| for 1 <= i, j <= len(seq) as a
-    symmetric function, by Laplace expansion along the last used row with
-    memoization over column subsets.
+    symmetric function, expanded over the commuting h's and converted to
+    power sums once.  On a partition this is the Schur function; an arbitrary
+    integer sequence straightens to a signed Schur function or vanishes."""
+    return _from_h(_jacobi_trudi_h(tuple(seq)))
 
-    On a partition this is the Schur function; an arbitrary integer sequence
-    straightens to a signed Schur function or vanishes.
-    """
-    seq = tuple(seq)
+
+def _jacobi_trudi_h(seq: tuple[int, ...]) -> _IntDict:
+    """The determinant in h-coordinates {nu: c}, zeros kept, by Laplace
+    expansion along the last used row with memoization over column subsets:
+    the h's commute, so a minor times h_idx inserts idx into each index nu."""
     size = len(seq)
-    dets: dict[int, SymFunc] = {0: SymFunc.one()}
+    dets: dict[int, _IntDict] = {0: {EMPTY: 1}}
     for mask in range(1, 1 << size):  # each sub-mask is smaller, so filled first
         rows = mask.bit_count()
-        terms = []
-        rank = 0
+        out: _IntDict = {}
+        sign = (-1) ** rows  # (-1)^(rows + rank) once each used column flips it
         for j in range(size):
             if not (mask >> j) & 1:
                 continue
-            rank += 1
+            sign = -sign
             idx = seq[j] - (j + 1) + rows
-            if idx < 0:
+            if idx < 0 or not (sub := dets[mask ^ (1 << j)]):
                 continue
-            sub = dets[mask ^ (1 << j)]
-            if idx:
-                sub = _product(_basis_p("h", _wrap((idx,))), sub)
-            terms.append(((-1) ** (rows + rank), sub))
-        dets[mask] = SymFunc.sum(terms)
+            row = _wrap((idx,))
+            for nu, c in sub.items():
+                key = _merged(row, nu) if idx else nu
+                out[key] = out.get(key, 0) + sign * c
+        dets[mask] = out
     return dets[(1 << size) - 1]
+
+
+def _from_h(terms: Mapping[Partition, int]) -> SymFunc:
+    """sum c h_nu for integer h-coordinates {nu: c}, in power sums."""
+    return SymFunc.sum((c, _basis_p("h", nu)) for nu, c in terms.items())
 
 
 def _class_sum(n: int, coordinate) -> SymFunc:

@@ -8,8 +8,8 @@ the number of pairs of same-shape standard tableaux of height <= k.  Three
 independent routes compute it:
 
   closed  a composition-indexed multinomial/Vandermonde formula,
-  det     the exponential specialization applied to the bounded-height Schur
-          sum, reading off n! times the x^n coefficient,
+  det     n! times the x^n coefficient of theta(bounded-height Schur sum),
+          its determinants summed over h and converted to p once,
   brute   literal enumeration: square the hook-length count per shape.
 
 The bounded-height Schur generating function itself also has two routes
@@ -31,7 +31,7 @@ from .partitions import (
     need_int,
     partitions_of,
 )
-from .ring import SymFunc, _need_symfunc, hn, jacobi_trudi
+from .ring import SymFunc, _from_h, _jacobi_trudi_h, _need_symfunc, hn
 from .vertex import cs_column
 
 PAIR_METHODS = ("closed", "det", "brute")
@@ -109,11 +109,12 @@ def bounded_height_schur_sum(n: int, k: int, method: str = "formula") -> SymFunc
         return cs_column(0, k, hn(1) ** n)
     if method != "formula":
         raise ValueError("method must be 'formula' or 'operator'")
-    return SymFunc.sum(
-        (_multinomial(n, s), det)
-        for s in compositions_of(n, k)
-        if not (det := jacobi_trudi(s)).is_zero
-    )
+    terms: dict[Partition, int] = {}
+    for s in compositions_of(n, k):
+        weight = _multinomial(n, s)
+        for nu, c in _jacobi_trudi_h(s).items():
+            terms[nu] = terms.get(nu, 0) + weight * c
+    return _from_h(terms)
 
 
 def rs0_power_expansion(n: int, k: int) -> SymFunc:

@@ -300,6 +300,7 @@ def t_minus_x_sum(g: SymFunc, pair: str = "ss") -> SymFunc:
     """Constant-term extraction via the operator sum
     sum over lam of (-1)^{|lam|} omega(a_lam) b_lam^perp
     for a chosen dual pair (a, b): "ss", "hm", "ef" or "pz"."""
+    _need_symfunc(g)
     if pair not in _TX_PAIRS:
         raise ValueError(f"pair must be one of {tuple(_TX_PAIRS)}")
     mult, by = _TX_PAIRS[pair]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symfunc import ring
-from symfunc.partitions import Partition, conjugate, partitions_of, z_value
+from symfunc.partitions import Partition, conjugate, partitions_of, straighten, z_value
 from symfunc.ring import (
     BASES,
     BasisExpansion,
@@ -294,6 +295,16 @@ def test_jacobi_trudi_on_sequences():
     assert jacobi_trudi((1, 2)).is_zero
     assert jacobi_trudi(()) == SymFunc.one()
     assert jacobi_trudi((2, 1)) == basis_element("s", P((2, 1)))
+
+
+def test_jacobi_trudi_straightens_every_short_sequence():
+    # every sequence of length <= 4 with entries in -2..5 against the
+    # Murnaghan-Nakayama route: the straightened sign times s_shape, or zero
+    for size in range(5):
+        for seq in itertools.product(range(-2, 6), repeat=size):
+            sign, shape = straighten(seq)
+            want = sign * basis_element("s", shape) if sign else SymFunc.zero()
+            assert jacobi_trudi(seq) == want, seq
 
 
 # --- structural properties (bounded sweeps live in verify/acceptance) ------

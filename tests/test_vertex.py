@@ -363,6 +363,7 @@ _REFUSALS = {
             ("rs_rows", lambda: rs_rows(1, 2, 3)),
             ("cs_column", lambda: cs_column(1, 1, 3)),
             ("t_minus_x", lambda: t_minus_x(3)),
+            ("t_minus_x_sum", lambda: t_minus_x_sum(3)),
             ("theta", lambda: theta(3)),
         )
     },
