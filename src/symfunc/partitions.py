@@ -35,7 +35,7 @@ class Partition(tuple):
         return tuple.__new__(cls, t)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     __repr__ = __str__
 

@@ -246,20 +246,21 @@ class BasisExpansion(NamedTuple):
 
     def to_text(self) -> str:
         """Render in the expression grammar, e.g. ``3/2*s[2,1] - p[3]``."""
-        parts = []
+        basis = self.basis
+        out = []
         for lam, c in self.sorted_terms():
-            mag = c if c > 0 else -c
+            num, den = c.numerator, c.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not lam:
-                body = str(mag)
-            elif mag == 1:
-                body = f"{self.basis}{lam}"
+                body = mag
             else:
-                body = f"{mag}*{self.basis}{lam}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                atom = f"{basis}[{','.join(map(str, lam))}]"
+                body = atom if mag == "1" else f"{mag}*{atom}"
+            if out:
+                out.append(f" + {body}" if num > 0 else f" - {body}")
             else:
-                parts.append(f"{' + ' if c > 0 else ' - '}{body}")
-        return "".join(parts) if parts else "0"
+                out.append(body if num > 0 else f"-{body}")
+        return "".join(out) if out else "0"
 
     def to_json_obj(self) -> dict:
         return {

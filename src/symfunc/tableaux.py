@@ -9,7 +9,8 @@ independent routes compute it:
 
   closed  a composition-indexed multinomial/Vandermonde formula,
   det     n! times the x^n coefficient of theta(bounded-height Schur sum),
-          its determinants summed over h and converted to p once,
+          its nonvanishing determinants summed over h and converted to p
+          once,
   brute   literal enumeration: square the hook-length count per shape.
 
 The bounded-height Schur generating function itself also has two routes
@@ -111,6 +112,8 @@ def bounded_height_schur_sum(n: int, k: int, method: str = "formula") -> SymFunc
         raise ValueError("method must be 'formula' or 'operator'")
     terms: dict[Partition, int] = {}
     for s in compositions_of(n, k):
+        if len({p - j for j, p in enumerate(s)}) < k:
+            continue  # two equal shifted parts s_j - j: two equal columns, det 0
         weight = _multinomial(n, s)
         for nu, c in _jacobi_trudi_h(s).items():
             terms[nu] = terms.get(nu, 0) + weight * c

@@ -36,6 +36,9 @@ def test_signs_and_whitespace():
     assert parse_expression("-p[2]") == -pn(2)
     assert parse_expression("+p[2]") == pn(2)
     assert parse_expression("  h[ 2 , 1 ] - 1 ") == basis_element("h", P((2, 1))) - SymFunc.one()
+    # a part list with a space in it is read one character at a time
+    for src in ("h[ 2,1]", "h [2,1]", "h[2, 1]"):
+        assert parse_expression(src) == basis_element("h", P((2, 1))), src
     assert parse_expression("p[2]-p[2]").is_zero
 
 
@@ -73,6 +76,12 @@ TRAILING = "unexpected trailing input"
         ("p[1 2]", 4, "expected ']'"),
         ("h[]^", 3, INTEGER),
         ("p[3] @ h[1]", 5, TRAILING),
+        ("h[2,,1]", 4, INTEGER),
+        ("h[2,]", 4, INTEGER),
+        ("h[,2]", 2, INTEGER),
+        ("p[2][1]", 4, TRAILING),
+        ("h[1]^2[1]", 6, TRAILING),
+        ("[2]", 0, BASIS),
     ],
 )
 def test_parse_error_table(src, pos, message):
@@ -123,6 +132,35 @@ def test_print_parse_roundtrip_degree_8():
     assert g.degree() == 8
     for b in BASES:
         assert parse_expression(expand(g, b).to_text()) == g, b
+
+
+@pytest.mark.parametrize(
+    "src, text",
+    [
+        ("s[01]", "s[1]"),
+        ("p[٣,١]", "p[3,1]"),
+        ("h[ 2,1]", "h[2,1]"),
+        ("h [2,1]", "h[2,1]"),
+        ("h[2, 1]", "h[2,1]"),
+    ],
+)
+def test_part_lists_print_back_canonically(src, text):
+    g = parse_expression(src)
+    assert expand(g, text[0]).to_text() == text
+    assert parse_expression(text) == g
+
+
+def test_to_text_edge_cases():
+    s21 = basis_element("s", P((2, 1)))
+    one = SymFunc.one()
+    assert expand(SymFunc.zero(), "s").to_text() == "0"
+    assert expand(-s21, "s").to_text() == "-s[2,1]"
+    assert expand(-3 * one, "s").to_text() == "-3"
+    assert expand(Fraction(-5, 2) * one + s21, "s").to_text() == "-5/2 + s[2,1]"
+    assert expand(Fraction(1, 2) * s21, "s").to_text() == "1/2*s[2,1]"
+    assert expand(Fraction(7, 3) * one, "h").to_text() == "7/3"
+    assert expand(s21 - 2 * basis_element("s", P((3,))), "s").to_text() == "s[2,1] - 2*s[3]"
+    assert expand(one + basis_element("h", P((1,))), "h").to_text() == "1 + h[1]"
 
 
 def test_error_position_is_annotated():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import symfunc.tableaux as tableaux
 from symfunc.cli import _build_parser, main
 from symfunc.partitions import Partition, compositions_of, partitions_of
-from symfunc.ring import SymFunc, basis_element, expand, hn
+from symfunc.ring import SymFunc, _jacobi_trudi_h, basis_element, expand, hn
 from symfunc.tableaux import (
     PAIR_METHODS,
     bounded_height_pairs,
@@ -90,6 +90,19 @@ def test_schur_sum_is_syt_weighted():
                 (syt_count(lam), basis_element("s", lam)) for lam in partitions_of(n, max_length=k)
             )
             assert bounded_height_schur_sum(n, k, "formula") == want, (n, k)
+
+
+def test_repeated_shifted_parts_give_a_zero_determinant():
+    # bounded_height_schur_sum skips a composition whose shifted parts s_j - j
+    # repeat; each of these has only zero h-coordinates in its determinant
+    skipped = 0
+    for n in range(7):
+        for k in range(1, 6):
+            for s in compositions_of(n, k):
+                if len({p - j for j, p in enumerate(s)}) < k:
+                    skipped += 1
+                    assert not any(_jacobi_trudi_h(s).values()), s
+    assert skipped == 498
 
 
 def test_rs0_power_expansion_examples():
