@@ -21,12 +21,16 @@ Six classical bases are supported, named by single letters:
 
 h is multiplicative, with h_n = sum_{mu |- n} p_mu / z_mu; e = omega h and
 f = omega m.  z_mu divides n! for mu |- n (n!/z_mu is the size of a class of
-S_n), so h_n, s_lam and m_lam have integer numerators over n!: for s_lam the
-character chi^lam(mu), by the Murnaghan-Nakayama rule over one bounded memo
-of sub-states that all shapes share; for m_lam the h_lam coordinate of p_mu,
-since m is dual to h.  The Jacobi-Trudi determinant, expanded over the
-commuting h's and converted to p once, is a second route to s.  One memo,
-keyed by basis and partition, holds every conversion.  Skew reads, for each
+S_n), so h_n and s_lam have integer numerators over n!, read from one memo
+of class rows (mu, beta code, n!/z_mu) per degree: for s_lam the character
+chi^lam(mu), by the Murnaghan-Nakayama rule over one bounded memo of
+sub-states, keyed by two beta codes, that all shapes share.  m_lam has
+integer numerators over prod_i m_i(lam)!: Doubilet's Moebius sum over the
+set partitions of lam's labelled parts, memoized per sub-multiset, so it
+reads only the coarsenings of lam and no other partition of its degree.
+The Jacobi-Trudi determinant, expanded over the commuting h's and
+converted to p once, is a second route to s.  One memo, keyed by basis and
+partition, holds every conversion.  Skew reads, for each
 target index mu, a cached table of the sub-multisets of mu with their
 remainders and z ratios, and the product reads the merged index of each pair
 of indices from a memo.  SymFunc values are immutable once built and all
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .partitions import (
@@ -314,24 +318,43 @@ def _from_h(terms: Mapping[Partition, int]) -> SymFunc:
     return SymFunc.sum((c, _basis_p("h", nu)) for nu, c in terms.items())
 
 
-def _class_sum(n: int, coordinate) -> SymFunc:
-    """sum over mu |- n of coordinate(mu) p_mu / z_mu, for integer coordinates,
-    as numerators coordinate(mu) * (n! / z_mu) over n!."""
+def _beta_code(mu: tuple[int, ...]) -> int:
+    """The beta-set of ``mu`` as a bitmask: bit mu_i + l - i for each row i.
+    Its first part is bit_length - bit_count, and clearing its top bit
+    leaves the code of mu without that part."""
+    top = len(mu) - 1
+    return sum(1 << (p + top - j) for j, p in enumerate(mu))
+
+
+@lru_cache(maxsize=None)
+def _degree_rows(n: int) -> tuple[tuple[Partition, int, int], ...]:
+    """(mu, beta code of mu, n! // z_mu) for each mu |- n, in the order of
+    partitions_of."""
     nf = factorial(n)
-    terms = {mu: c * (nf // z_value(mu)) for mu in partitions_of(n) if (c := coordinate(mu))}
-    return SymFunc._reduced(terms, nf)
+    return tuple((mu, _beta_code(mu), nf // z_value(mu)) for mu in partitions_of(n))
+
+
+def _class_sum(n: int, coordinate) -> SymFunc:
+    """sum over mu |- n of coordinate(code) p_mu / z_mu, for integer coordinates
+    of mu's beta code, as numerators coordinate(code) * (n! / z_mu) over n!."""
+    terms = {mu: c * size for mu, code, size in _degree_rows(n) if (c := coordinate(code))}
+    return SymFunc._reduced(terms, factorial(n))
 
 
 @lru_cache(maxsize=1 << 13)
-def _chi(mask: int, rest: tuple[int, ...]) -> int:
-    """chi^lam(rest) by the Murnaghan-Nakayama rule on beta-sets: bit b of
-    ``mask`` marks a hook length lam_i + l - i, and a rim hook of size r moves
-    a set bit b to a clear bit b - r, with sign (-1)^(bits jumped over).  A
-    sub-state drops its trailing one bits (empty rows), so all shapes share
-    it; the sign holds, as a hook lands on a clear bit above them."""
+def _chi(mask: int, rest: int) -> int:
+    """chi^lam(mu) by the Murnaghan-Nakayama rule on beta-sets, for ``mask``
+    and ``rest`` the beta codes of lam and of the parts of mu still to
+    remove, largest first: bit b of ``mask`` marks a hook length
+    lam_i + l - i, and a rim hook of size r moves a set bit b to a clear bit
+    b - r, with sign (-1)^(bits jumped over).  A sub-state drops its
+    trailing one bits (empty rows), so all shapes share it; the sign holds,
+    as a hook lands on a clear bit above them."""
     if not rest:
         return 1
-    r = rest[0]
+    top = rest.bit_length()
+    r = top - rest.bit_count()
+    rest ^= 1 << (top - 1)
     between = (1 << (r - 1)) - 1
     total = 0
     movable = (mask & ~(mask << r)) >> r << r
@@ -339,7 +362,7 @@ def _chi(mask: int, rest: tuple[int, ...]) -> int:
         low = movable & -movable
         movable ^= low
         moved = mask ^ low ^ (low >> r)
-        sub = _chi(moved >> ((~moved & (moved + 1)).bit_length() - 1), rest[1:])
+        sub = _chi(moved >> ((~moved & (moved + 1)).bit_length() - 1), rest)
         if sub:
             jumped = (mask >> (low.bit_length() - r)) & between
             total += -sub if jumped.bit_count() % 2 else sub
@@ -350,30 +373,37 @@ def _s_p(lam: Partition) -> SymFunc:
     """Schur function: <s_lam, p_mu> = chi^lam(mu).  Each top-level (lam, mu)
     skips the memo: it never recurs once s_lam is in _basis_p, and would
     evict the shared sub-states."""
-    start = sum(1 << (p + len(lam) - 1 - j) for j, p in enumerate(lam))
-    return _class_sum(sum(lam), lambda mu: _chi.__wrapped__(start, mu))
+    start = _beta_code(lam)
+    return _class_sum(sum(lam), lambda code: _chi.__wrapped__(start, code))
 
 
 @lru_cache(maxsize=None)
-def _p_h(mu: Partition) -> dict:
-    """p_mu in h-coordinates, an integer dict {nu: c} with p_mu = sum c h_nu.
-    h is multiplicative, so these multiply like power-sum coordinates; a
-    single part comes from Newton's identity
-    p_n = sum_{nu |- n} (-1)^{l-1} n (l-1)! / prod_i m_i(nu)! h_nu."""
-    if len(mu) > 1:
-        return _dict_mul(_p_h(_wrap(mu[:1])), _p_h(_wrap(mu[1:])))
-    if not mu:
+def _blocks(lam: Partition) -> dict:
+    """sum over the set partitions pi of the labelled parts of lam of
+    mu(0, pi) p_{block sums of pi}, an integer dict {nu: c}, where
+    mu(0, pi) = prod_B (-1)^{|B|-1} (|B|-1)! (Doubilet).  The block holding
+    the first part also holds a sub-multiset rho of the rest, chosen in
+    prod_i C(m_i(rest), m_i(rho)) = (z_rest / z_{rest - rho}) / z_rho ways.
+    Every pi with block sums nu has the sign (-1)^{l(lam) - l(nu)}, so no
+    coefficient cancels to zero."""
+    if not lam:
         return {EMPTY: 1}
-    n = mu[0]
-    # r_coefficient(nu) = (-1)^{n-l} l! / prod_i m_i(nu)!
-    sign = -1 if n % 2 == 0 else 1
-    return {nu: sign * n * r_coefficient(nu) // len(nu) for nu in partitions_of(n)}
+    out: _IntDict = {}
+    for rho, (nu, ratio) in _sub_table(_wrap(lam[1:])).items():
+        size = len(rho)
+        weight = (-1) ** size * factorial(size) * (ratio // z_value(rho))
+        block = _wrap((lam[0] + sum(rho),))
+        for kappa, c in _blocks(nu).items():
+            key = _merged(block, kappa)
+            out[key] = out.get(key, 0) + weight * c
+    return out
 
 
 def _m_p(lam: Partition) -> SymFunc:
-    """Monomial symmetric function: <m_lam, p_mu> = [h_lam] p_mu, the
-    h-dual of m, so the p_mu coordinate is that integer over z_mu."""
-    return _class_sum(sum(lam), lambda mu: _p_h(mu).get(lam))
+    """Monomial symmetric function: prod_i m_i(lam)! m_lam is _blocks(lam)
+    (Doubilet's Moebius inversion of p_lam = sum_pi of the augmented
+    monomials of the block sums), and prod_i m_i(lam)! = z_lam / prod(lam)."""
+    return SymFunc._reduced(dict(_blocks(lam)), z_value(lam) // prod(lam))
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +417,7 @@ def _basis_p(b: str, lam: Partition) -> SymFunc:
         if len(lam) > 1:
             return _product(_basis_p("h", _wrap(lam[:1])), _basis_p("h", _wrap(lam[1:])))
         # h_n = sum over mu |- n of p_mu / z_mu (h_0 = 1)
-        return _class_sum(sum(lam), lambda mu: 1)
+        return _class_sum(sum(lam), lambda code: 1)
     if b in ("e", "f"):
         return omega(_basis_p("h" if b == "e" else "m", lam))
     if b == "s":

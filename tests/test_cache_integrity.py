@@ -17,19 +17,22 @@ ORACLE_VARS = 4  # the polynomial oracle's memo, at degrees up to 4
 
 def _cached_values():
     """The one conversion memo, every basis at every shape up to DEGREE, the
-    integer p -> h table behind it, the skew's sub-multiset tables, the
-    merged product indices and the oracle's power-sum polynomials."""
+    set-partition sums behind m, the class rows of each degree behind h and
+    s, the skew's sub-multiset tables, the merged product indices and the
+    oracle's power-sum polynomials."""
     shapes = list(partitions_upto(DEGREE))
     for lam in shapes:
         for b in BASES:
             yield (b, lam), ring._basis_p(b, lam)
-        yield ("_p_h", lam), ring._p_h(lam)
+        yield ("_blocks", lam), ring._blocks(lam)
         yield ("_sub_table", lam), ring._sub_table(lam)
         for mu in shapes:
             if sum(lam) + sum(mu) <= DEGREE:
                 yield ("_merged", lam, mu), ring._merged(lam, mu)
         if sum(lam) <= ORACLE_VARS:
             yield ("_realize_p", lam), polyoracle._realize_p(lam, ORACLE_VARS)
+    for n in range(DEGREE + 1):
+        yield ("_degree_rows", n), ring._degree_rows(n)
 
 
 def _fingerprint(value):

@@ -41,11 +41,13 @@ def _cache_state():
         for b in BASES:
             value = ring._basis_p(b, lam)
             values[b, lam] = (dict(value._terms), value._den)
-        values["_p_h", lam] = dict(ring._p_h(lam))
+        values["_blocks", lam] = dict(ring._blocks(lam))
         values["_sub_table", lam] = dict(ring._sub_table(lam))
         for mu in shapes:
             if sum(lam) + sum(mu) <= DEGREE:
                 values["_merged", lam, mu] = ring._merged(lam, mu)
+    for n in range(DEGREE + 1):
+        values["_degree_rows", n] = ring._degree_rows(n)
     return sizes, values
 
 
@@ -99,8 +101,9 @@ def test_every_memo_is_listed():
         "symfunc.partitions._all_partitions",
         "symfunc.polyoracle._realize_p",
         "symfunc.ring._basis_p",
+        "symfunc.ring._blocks",
         "symfunc.ring._chi",
+        "symfunc.ring._degree_rows",
         "symfunc.ring._merged",
-        "symfunc.ring._p_h",
         "symfunc.ring._sub_table",
     ]

@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symfunc import ring
+from symfunc import partitions, ring
 from symfunc.partitions import Partition, conjugate, partitions_of, straighten, z_value
 from symfunc.ring import (
     BASES,
@@ -234,12 +234,15 @@ def test_bad_parts_never_reach_the_memo():
     assert repr(basis_element("p", (1, 1))) == "p[1,1]"
 
 
-def test_p_h_holds_no_zero():
-    # _p_h builds its values with _dict_mul, which keeps the zeros a sum
-    # leaves, and never passes them through SymFunc._reduced, which drops them.
-    for n in range(11):
-        for mu in partitions_of(n):
-            assert 0 not in ring._p_h(mu).values(), mu
+def test_blocks_hold_no_zero():
+    # every set partition with the block sums nu has Moebius sign
+    # (-1)^{l(lam) - l(nu)}, so no sum cancels: a zero would be kept, as
+    # _blocks never passes its dicts through SymFunc._reduced
+    for n in range(14):
+        for lam in partitions_of(n):
+            for nu, c in ring._blocks(lam).items():
+                assert sum(nu) == n and c, (lam, nu)
+                assert (c > 0) == ((len(lam) - len(nu)) % 2 == 0), (lam, nu)
 
 
 def test_basis_element_rejects_bad_basis():
@@ -429,6 +432,31 @@ def test_monomial_h_duality_degrees_9_and_10():
             for mu in shapes:
                 delta = 1 if lam == mu else 0
                 assert inner_product(m, basis_element("h", mu)) == delta, (lam, mu)
+
+
+def test_monomial_h_duality_through_degree_8():
+    # with the test above, <m_lam, h_mu> = delta for every lam, mu |- n <= 10:
+    # m comes from set-partition sums and h from class sums, two routes
+    for n in range(9):
+        shapes = list(partitions_of(n))
+        for lam in shapes:
+            m = basis_element("m", lam)
+            for mu in shapes:
+                delta = 1 if lam == mu else 0
+                assert inner_product(m, basis_element("h", mu)) == delta, (lam, mu)
+
+
+def test_monomial_reads_only_the_coarsenings_of_its_shape(monkeypatch):
+    # m_lam needs no partition of |lam| beyond those its parts merge into
+    seen = []
+    enumerate_degree = partitions._all_partitions
+    monkeypatch.setattr(
+        partitions, "_all_partitions", lambda n: seen.append(n) or enumerate_degree(n)
+    )
+    ring._basis_p.cache_clear()
+    expected = {(10, 10, 10): Fraction(1, 6), (20, 10): Fraction(-1, 2), (30,): Fraction(1, 3)}
+    assert basis_element("m", (10, 10, 10)) == SymFunc(expected)
+    assert 30 not in seen
 
 
 def test_schur_spot_check_degree_15():
