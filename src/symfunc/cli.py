@@ -11,21 +11,22 @@ Subcommands:
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 verification failure, 2 bad input (argparse's usage text for malformed argv,
 else ``error: <message>``, the library's own refusal), 3 internal faults (a
-broken integrality check, or out of memory).  Only verify imports
-symfunc.verify, the one module that knows the suite names.
+broken integrality check, or out of memory).
+
+Each subcommand imports only the modules it runs.  The parser reads its
+choices from symfunc.names; count loads tableaux; expand and inner load the
+expression reader and the ring; apply loads those and the vertex operators;
+verify alone loads symfunc.verify, the one module that knows the suite
+names.  json is loaded only for --json and --verbose.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
-from .expressions import parse_expression
-from .ring import BASES, expand, inner_product
-from .tableaux import PAIR_METHODS, bounded_height_pairs, closed_form_terms
-from .vertex import OPERATORS, named_operator
+from .names import BASES, OPERATORS, PAIR_METHODS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,17 +77,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("expand", "apply"):
-            # bound before parsing: a parameter or range error wins over a parse error
-            op = named_operator(args.op, args.a, args.k) if args.command == "apply" else None
+            from .expressions import parse_expression
+            from .ring import expand
+
+            op = None
+            if args.command == "apply":
+                from .vertex import named_operator
+
+                # bound before parsing: a parameter or range error wins over a parse error
+                op = named_operator(args.op, args.a, args.k)
             g = parse_expression(args.expr)
             expansion = expand(g if op is None else op(g), args.basis)
             if args.json:
+                import json
+
                 print(json.dumps(expansion.to_json_obj(), indent=2))
             else:
                 print(expansion.to_text())
             return 0
 
         if args.command == "inner":
+            from .expressions import parse_expression
+            from .ring import inner_product
+
             value = inner_product(
                 parse_expression(args.expr1), parse_expression(args.expr2)
             )
@@ -94,8 +107,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "count":
+            from .tableaux import bounded_height_pairs, closed_form_terms
+
             print(bounded_height_pairs(args.n, args.k, args.method))
             if args.verbose:
+                import json
+
                 terms = [
                     {"composition": list(s), "term": str(value)}
                     for s, value in closed_form_terms(args.n, args.k)

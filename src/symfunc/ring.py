@@ -44,6 +44,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
+from .names import BASES
 from .partitions import (
     EMPTY,
     Partition,
@@ -55,8 +56,6 @@ from .partitions import (
 )
 
 ScalarLike = Union[Fraction, int]
-
-BASES = ("p", "m", "e", "h", "s", "f")
 
 # Dual basis of each basis under the Hall inner product (p's dual, p/z_lam,
 # is read off by expand directly).

@@ -16,14 +16,19 @@ independent routes compute it:
 The bounded-height Schur generating function itself also has two routes
 (direct composition-indexed determinant sum, or the Schur column adder at
 width zero), which the test suite plays against each other.
+
+At module level this module loads only ``partitions`` and the names table,
+so ``closed`` and ``brute`` counts run without the ring.  The routes that
+need the ring import it when called, and only the operator route loads the
+vertex operators.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
+from .names import PAIR_METHODS
 from .partitions import (
     Composition,
     Partition,
@@ -32,10 +37,11 @@ from .partitions import (
     need_int,
     partitions_of,
 )
-from .ring import SymFunc, _from_h, _jacobi_trudi_h, _need_symfunc, hn
-from .vertex import cs_column
 
-PAIR_METHODS = ("closed", "det", "brute")
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .ring import SymFunc
 
 
 def syt_count(lam: Partition) -> int:
@@ -85,6 +91,8 @@ def theta(g: SymFunc) -> dict[int, Fraction]:
     function s_lam maps to f_lam x^{|lam|} / |lam|!.  Each exponent m has
     the single all-ones index 1^m, so nothing accumulates.
     """
+    from .ring import _need_symfunc
+
     _need_symfunc(g)
     return {len(lam): c for lam, c in g.items() if all(part == 1 for part in lam)}
 
@@ -107,9 +115,14 @@ def bounded_height_schur_sum(n: int, k: int, method: str = "formula") -> SymFunc
     need_int(n, 0, "n")
     need_int(k, 1, "k")
     if method == "operator":
+        from .ring import hn
+        from .vertex import cs_column
+
         return cs_column(0, k, hn(1) ** n)
     if method != "formula":
         raise ValueError("method must be 'formula' or 'operator'")
+    from .ring import _from_h, _jacobi_trudi_h
+
     terms: dict[Partition, int] = {}
     for s in compositions_of(n, k):
         if len({p - j for j, p in enumerate(s)}) < k:
@@ -130,6 +143,8 @@ def rs0_power_expansion(n: int, k: int) -> SymFunc:
     sum over l of (-1)^{n-l} C(n, l) h_1^l times the bounded-height Schur
     sum of degree n - l.  Must agree with rs_rows(0, k, h_1^n).
     """
+    from .ring import SymFunc, hn
+
     return SymFunc.sum(
         ((-1) ** (n - l) * math.comb(n, l), hn(1) ** l * bounded_height_schur_sum(n - l, k))
         for l in range(n + 1)
@@ -157,7 +172,7 @@ def bounded_height_pairs(n: int, k: int, method: str = PAIR_METHODS[0]) -> int:
         return sum(syt_count(lam) ** 2 for lam in partitions_of(n, max_length=k))
     if method == "det":
         poly = theta(bounded_height_schur_sum(n, k, method="formula"))
-        value = poly.get(n, Fraction(0)) * math.factorial(n)
+        value = poly.get(n, 0) * math.factorial(n)
         if value.denominator != 1:
             raise ArithmeticError("pair count came out non-integral")
         return int(value)
@@ -174,6 +189,8 @@ def closed_form_terms(n: int, k: int) -> Iterator[tuple[Composition, Fraction]]:
     """Per-composition contributions of the closed-form pair count."""
     need_int(n, 0, "n")
     need_int(k, 1, "k")
+    from fractions import Fraction
+
     scale = Fraction(math.factorial(n), math.factorial(n + k * (k - 1) // 2))
     return ((s, scale * w) for s, w in _closed_numerators(n, k))
 

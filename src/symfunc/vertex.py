@@ -43,9 +43,10 @@ way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
 omega and rf_row = omega o rm_row o omega.  Their literal defining sums live
 in ``verify`` as oracles for that conjugation.
 
-OPERATORS names each operator as --op does, with its function's name and its
-least a and k, the one statement of its domain: the operators and
-named_operator(name, a, k) check against that row, so binding calls nothing.
+OPERATORS (stated in ``names``) names each operator as --op does, with its
+function's name and its least a and k, the one statement of its domain: the
+operators and named_operator(name, a, k) check against that row, so binding
+calls nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Optional
 
+from .names import OPERATORS
 from .partitions import (
     Partition,
     add_columns,
@@ -325,25 +327,6 @@ def everything_op(
 # ---------------------------------------------------------------------------
 # Named dispatch for the CLI.
 # ---------------------------------------------------------------------------
-
-# name -> (function name, least a, least k), the function taking (a, k, g)
-# minus each parameter whose least is None, looked up when named_operator
-# binds it.  The order is the CLI's --op order.
-OPERATORS: dict[str, tuple[str, Optional[int], Optional[int]]] = {
-    "CP": ("cp_column", 0, 0),
-    "CH": ("ch_column", None, 1),
-    "CE": ("ce_column", None, 1),
-    "RM1": ("rm_row_one", 1, None),
-    "RMK": ("rm_rows", 0, 0),
-    "RM": ("rm_row", 1, None),
-    "RF": ("rf_row", 1, None),
-    "CM": ("cm_column", 0, 1),
-    "CF": ("cf_column", 0, 1),
-    "RS": ("rs_row", 0, None),
-    "RSK": ("rs_rows", 0, 0),
-    "CS": ("cs_column", 0, 0),
-    "TX": ("t_minus_x", None, None),
-}
 
 
 def _check_params(

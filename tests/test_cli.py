@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from unittest.mock import Mock
 
 import pytest
 
+import symfunc
 from symfunc.cli import main
 from symfunc.vertex import OPERATORS
 from transcript import TRANSCRIPTS, replay
@@ -149,7 +152,7 @@ def test_repeated_suite_runs_once(capsys):
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr("symfunc.cli.parse_expression", Mock(side_effect=MemoryError))
+    monkeypatch.setattr("symfunc.expressions.parse_expression", Mock(side_effect=MemoryError))
     assert run_cli(capsys, "expand", "p[1]^20000") == (3, "", "internal error: out of memory\n")
 
 
@@ -256,3 +259,57 @@ def test_cli_import_leaves_out_the_checks():
     # Only the verify command loads them.
     names = ("symfunc.verify", "symfunc.polyoracle")
     assert _loaded_by_import("symfunc.cli", names) == "[]\n"
+
+
+# The symfunc submodules each subcommand loads: argparse's choices come from
+# the names table alone, and a command loads only the modules it runs.
+COUNT_MODULES = ["cli", "names", "partitions", "tableaux"]
+TEXT_MODULES = ["cli", "expressions", "names", "partitions", "ring"]
+APPLY_MODULES = TEXT_MODULES + ["vertex"]
+SUBCOMMAND_MODULES = {
+    "count": (["count", "--n", "4", "--k", "2"], COUNT_MODULES),
+    "count brute": (["count", "--n", "4", "--k", "2", "--method", "brute"], COUNT_MODULES),
+    "count det": (
+        ["count", "--n", "4", "--k", "2", "--method", "det"],
+        ["cli", "names", "partitions", "ring", "tableaux"],
+    ),
+    "count verbose": (["count", "--n", "2", "--k", "2", "--verbose"], COUNT_MODULES),
+    "expand": (["expand", "--basis", "h", "e[2]"], TEXT_MODULES),
+    "expand json": (["expand", "--json", "h[1]"], TEXT_MODULES),
+    "inner": (["inner", "h[2,1]", "m[2,1]"], TEXT_MODULES),
+    "apply": (["apply", "--op", "CS", "--a", "0", "--k", "2", "h[1]^2"], APPLY_MODULES),
+    "apply json": (["apply", "--op", "TX", "--json", "p[2] + 3"], APPLY_MODULES),
+}
+
+
+def _loaded_by_main(argv):
+    """The exit code of ``cli.main(argv)`` in a fresh interpreter, the
+    symfunc submodules loaded after it, and whether json was loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "from symfunc.cli import main\n"
+        f"code = main({argv!r})\n"
+        "loaded = sorted(m[len('symfunc.'):] for m in sys.modules if m.startswith('symfunc.'))\n"
+        "print(repr((code, loaded, 'json' in sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    names = tuple(f"symfunc.{info.name}" for info in pkgutil.iter_modules(symfunc.__path__))
+    assert "symfunc.names" in names
+    assert _loaded_by_import("symfunc", names) == "[]\n"
+
+
+@pytest.mark.parametrize("case", SUBCOMMAND_MODULES)
+def test_each_subcommand_loads_only_what_it_runs(case):
+    argv, modules = SUBCOMMAND_MODULES[case]
+    assert _loaded_by_main(argv) == (0, modules, "--json" in argv or "--verbose" in argv)
