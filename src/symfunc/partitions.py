@@ -41,7 +41,10 @@ class Partition(tuple):
 
 
 def _wrap(parts: tuple[int, ...]) -> Partition:
-    # Trusted constructor: caller guarantees weakly decreasing positive parts.
+    """The trusted constructor: wraps ``parts`` as they are, checking none,
+    for callers that built them weakly decreasing and positive
+    (``_wrap((1, 3))`` is the Partition [1,3]).  Partition(...) is the
+    checked constructor."""
     return tuple.__new__(Partition, parts)
 
 
@@ -62,7 +65,9 @@ def conjugate(lam: Partition) -> Partition:
 
     Built from the run lengths of ``lam``, bottom row first: the columns
     past lam_{i+1} up to lam_i have length i, so row i contributes
-    lam_i - lam_{i+1} parts equal to i."""
+    lam_i - lam_{i+1} parts equal to i.  Trusts ``lam`` to be a partition
+    its caller built and checks no part; Partition(...) is the checked
+    constructor."""
     out: list[int] = []
     below = 0
     for i in range(len(lam), 0, -1):
@@ -97,7 +102,10 @@ def add_columns(lam: Partition, a: int, k: int) -> Optional[Partition]:
 
     Returns None when ``lam`` has more than ``k`` parts (the result would not
     be a partition made of the first k rows).  Zero entries produced by the
-    padding (when a == 0) are dropped from the result.
+    padding (when a == 0) are dropped from the result.  ``a`` and ``k`` are
+    checked, but ``lam`` is trusted to be a partition its caller built and
+    no part is checked (``add_columns((3, 1.5), 1, 2)`` is [4,2.5]);
+    Partition(...) is the checked constructor.
     """
     need_int(a, 0, "a")
     need_int(k, 0, "k")
@@ -111,6 +119,8 @@ def remove_parts(lam: Partition, mu: Partition) -> Optional[Partition]:
     """Delete one copy of each part of ``mu`` from ``lam`` (as multisets).
 
     Returns None when some part of ``mu`` is missing (with multiplicity).
+    Both are trusted to be partitions their caller built, and no part is
+    checked; Partition(...) is the checked constructor.
     """
     remaining = list(lam)
     for p in mu:
@@ -122,7 +132,10 @@ def remove_parts(lam: Partition, mu: Partition) -> Optional[Partition]:
 
 
 def insert_parts(lam: Partition, mu: Partition) -> Partition:
-    """Multiset union of the parts of ``lam`` and ``mu``."""
+    """Multiset union of the parts of ``lam`` and ``mu``.  Both are trusted
+    to be partitions their caller built, and no part is checked
+    (``insert_parts((2.0,), (1,))`` is [2.0,1]); Partition(...) is the
+    checked constructor."""
     return _wrap(tuple(sorted(lam + tuple(mu), reverse=True)))
 
 

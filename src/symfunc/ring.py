@@ -5,9 +5,9 @@ numerators over one shared denominator: a SymFunc is a finite map
 {partition -> nonzero int} with a denominator D >= 1, representing
 sum (c_lam / D) * p_lam, always reduced so that D and the numerators have
 no common factor; that form is canonical.  Every linear combination, from
-a + b to an operator's signed sum and a parsed expression, is one SymFunc.sum
-of (coefficient, function) pairs: one pass into one dict over one lcm of
-the denominators, whose zeros SymFunc._reduced drops once.  In these
+a + b to a parsed expression, is one SymFunc.sum of (coefficient,
+function) pairs: one pass into one dict over one lcm of the denominators,
+whose zeros SymFunc._reduced drops once.  In these
 coordinates the product is a multiset union of indices, the Hall inner
 product is diagonal (<p_lam, p_mu> = z_lam * delta), the involution omega is
 a sign flip, and skewing by p_lam deletes the parts of lam from each index
@@ -30,11 +30,16 @@ set partitions of lam's labelled parts, memoized per sub-multiset, so it
 reads only the coarsenings of lam and no other partition of its degree.
 The Jacobi-Trudi determinant, expanded over the commuting h's and
 converted to p once, is a second route to s.  One memo, keyed by basis and
-partition, holds every conversion.  Skew reads, for each
-target index mu, a cached table of the sub-multisets of mu with their
-remainders and z ratios, and the product reads the merged index of each pair
-of indices from a memo.  SymFunc values are immutable once built and all
-functions are pure; concurrent readers are safe and refills are idempotent.
+partition, holds every conversion.  Skew reads, for each target index mu,
+a cached table of the sub-multisets of mu with their remainders and z
+ratios, and the product reads the merged index of each pair of indices from
+a memo.  A vertex operator's signed sum of products and skews,
+sum c_lam f_lam * b_lam^perp g, is one kernel, _perp_sum: it reads those
+tables once into the coproduct table of g, rho -> [(mu - rho,
+g_mu z_mu / z_{mu - rho})], skews every b_lam against its rows, and adds
+every product into one accumulator over one lcm, reduced once.  SymFunc
+values are immutable once built and all functions are pure; concurrent
+readers are safe and refills are idempotent.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .names import BASES
 from .partitions import (
@@ -493,6 +498,44 @@ def skew(g: SymFunc, target: SymFunc) -> SymFunc:
                 if c is not None:
                     out[nu] = out.get(nu, 0) + c * d * ratio
     return SymFunc._reduced(out, g._den * target._den)
+
+
+def _perp_sum(g: SymFunc, lams: Iterable, by: Callable, image: Callable) -> SymFunc:
+    """sum over lam in ``lams`` of c * f * by(lam)^perp g for the pair
+    (c, f) = image(lam), asked for only where the skew is nonzero: the kernel
+    of every vertex operator.  g's coproduct is read once into a table
+    {rho: [(mu - rho, g_mu * z_mu / z_{mu - rho}) for mu in g containing rho]},
+    each skew walks by(lam)'s terms against its rows into integer numerators,
+    and every product f * skew lands in one accumulator over one lcm of the
+    denominators, reduced once."""
+    terms = g._terms
+    if not terms:  # rm_row's inner skews often vanish; skip the walk over lams
+        return g
+    table: dict = {}
+    for mu, d in terms.items():
+        for rho, (nu, ratio) in _sub_table(mu).items():
+            table.setdefault(rho, []).append((nu, d * ratio))
+    live = []
+    for lam in lams:
+        b = by(lam)
+        skewed: _IntDict = {}
+        for rho, c in b._terms.items():
+            for nu, v in table.get(rho, ()):
+                skewed[nu] = skewed.get(nu, 0) + c * v
+        if any(skewed.values()):
+            c, f = image(lam)
+            if c and f._terms:
+                live.append((c, f._terms, skewed, c.denominator * f._den * b._den))
+    den = lcm(*(term_den for *_, term_den in live))
+    acc: _IntDict = {}
+    for c, f_terms, skewed, term_den in live:
+        scale = c.numerator * (den // term_den)
+        for kappa, x in f_terms.items():
+            x *= scale
+            for nu, y in skewed.items():
+                key = _merged(kappa, nu)
+                acc[key] = acc.get(key, 0) + x * y
+    return SymFunc._reduced(acc, den * g._den)
 
 
 def expand(g: SymFunc, b: str) -> BasisExpansion:

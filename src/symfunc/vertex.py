@@ -4,7 +4,9 @@ Each operator is a linear map written as a sum of terms (multiply by a fixed
 symmetric function) o (skew by another).  The defining sums are infinite but
 a skew by anything of degree greater than deg(input) annihilates, so every
 application truncates the index partition to |lam| <= deg(input).  All
-arithmetic is exact, and every such sum runs through one loop, _perp_sum.
+arithmetic is exact, and every such sum runs through one kernel,
+ring._perp_sum, which reads each skew from one coproduct table of the input
+and adds every product into one accumulator.
 
 Row adders insert one part of size a into the indexing partition; column
 adders add a to each of its first k parts.  The action laws, in brief:
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .names import OPERATORS
 from .partitions import (
@@ -68,24 +70,21 @@ from .partitions import (
     straighten,
     z_value,
 )
-from .ring import BasisExpansion, SymFunc, _need_symfunc, basis_element, expand, omega, pn, skew
+from .ring import (
+    BasisExpansion,
+    SymFunc,
+    _need_symfunc,
+    _perp_sum,
+    basis_element,
+    expand,
+    omega,
+    pn,
+    skew,
+)
 
 
 def _sign(lam: Partition) -> int:
     return -1 if sum(lam) % 2 else 1
-
-
-def _perp_sum(g: SymFunc, lams: Iterable, by: Callable, image: Callable) -> SymFunc:
-    """sum over lam in ``lams`` of c * f * by(lam)^perp g for the pair
-    (c, f) = image(lam), built only where the skew is nonzero."""
-    if g.is_zero:  # rm_row's inner skews often vanish; skip the walk over lams
-        return g
-    return SymFunc.sum(
-        (c, f * skewed)
-        for lam in lams
-        if not (skewed := skew(by(lam), g)).is_zero
-        for c, f in (image(lam),)
-    )
 
 
 def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:

@@ -5,6 +5,8 @@ it, so fingerprint each cached value, run the public operations over the
 same degrees, and require every value to come out unchanged.
 """
 
+from fractions import Fraction
+
 from symfunc import polyoracle, ring
 from symfunc.partitions import partitions_of, partitions_upto
 from symfunc.ring import BASES, SymFunc, basis_element, expand, inner_product, omega, skew
@@ -61,6 +63,14 @@ def _sweep():
                 skew(g, f)
                 skew(f, f * g)
                 inner_product(f, g)
+    # the operators' kernel reads the shared _sub_table rows of every index of
+    # its operand, so one operand mixes degrees, bases and denominators too
+    mixed = SymFunc.sum((
+        (Fraction(1, 2), basis_element("s", (2, 1))),
+        (-3, basis_element("m", (1, 1))),
+        (Fraction(2, 3), basis_element("p", (3,))),
+        (Fraction(5, 4), basis_element("e", (1,))),
+    ))
     for name, (_, least_a, least_k) in OPERATORS.items():
         op = named_operator(
             name, 2 if least_a is not None else None, 2 if least_k is not None else None
@@ -69,6 +79,8 @@ def _sweep():
             if sum(lam) <= 3:
                 for b in BASES:
                     expand(op(basis_element(b, lam)), b)
+        for b in BASES:
+            expand(op(mixed), b)
     for method in ("closed", "det", "brute"):
         bounded_height_pairs(DEGREE, 3, method)
     for lam in shapes:

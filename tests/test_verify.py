@@ -8,9 +8,13 @@ paired Schur check sees either of its operators doubled: cs_column reads
 rs_rows's law, not rs_rows.  The action laws are
 checked through vertex.named_operator, the CLI's dispatch, which looks each
 function up on the module when it binds it, so there too the module
-attribute is doubled.
+attribute is doubled.  The kernel the operators sum through is faulted too:
+an action law and the omega conjugation, whose literal sums skew by their
+own route, must both see it.
 """
 
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -102,6 +106,49 @@ def test_replaced_operator_is_the_one_applied(monkeypatch, capsys):
     monkeypatch.undo()
     assert vertex.named_operator("CS", 1, 2)(g) == original(1, 2, g)
     assert verify.run_check(check, BOUNDS)[2] == []
+
+
+# mutant -> each sub-multiset table as the faulty kernel reads it: without its
+# row rho = mu, or with every z ratio read as 1
+KERNEL_MUTANTS = {
+    "dropped-row": lambda mu, table: {rho: row for rho, row in table.items() if rho != mu},
+    "ratio-ignored": lambda mu, table: {rho: (nu, 1) for rho, (nu, _) in table.items()},
+}
+
+
+@pytest.mark.parametrize("rows", KERNEL_MUTANTS.values(), ids=KERNEL_MUTANTS)
+@pytest.mark.parametrize(
+    "check", [ACTION_CHECKS["CS"], verify.check_omega_conjugation], ids=["actions", "omega"]
+)
+def test_checks_see_a_faulty_kernel(monkeypatch, rows, check):
+    # Every operator sums through ring._perp_sum, which builds its coproduct
+    # table from ring._sub_table.  The faulty kernel reads altered tables;
+    # by and image are evaluated first, so no cached conversion reads them,
+    # and the literal sums in verify skew by ring.skew, a route of their own.
+    _, cases, bad = verify.run_check(check, BOUNDS)
+    assert cases and not bad, bad
+    kernel, sub_table = ring._perp_sum, ring._sub_table
+
+    def faulty(g, lams, by, image):
+        lams = list(lams)
+        bys, images = {lam: by(lam) for lam in lams}, {lam: image(lam) for lam in lams}
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "_sub_table", lambda mu: rows(mu, sub_table(mu)))
+            return kernel(g, lams, bys.__getitem__, images.__getitem__)
+
+    monkeypatch.setattr(vertex, "_perp_sum", faulty)
+    _, patched_cases, patched_bad = verify.run_check(check, BOUNDS)
+    assert patched_cases == cases
+    assert patched_bad
+    monkeypatch.undo()
+    assert verify.run_check(check, BOUNDS)[1:] == (cases, [])
+
+
+def test_verify_never_references_the_kernel():
+    # its oracles sum through skew, so a fault in the kernel cannot show on
+    # both sides of a check
+    assert not re.search(r"\b_perp_sum\b", inspect.getsource(verify))
+    assert all(value is not ring._perp_sum for value in vars(verify).values())
 
 
 FIELDS = (

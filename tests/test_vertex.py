@@ -4,7 +4,7 @@ from unittest.mock import Mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symfunc import vertex
+from symfunc import ring, vertex
 from symfunc.partitions import (
     Partition,
     add_columns,
@@ -12,9 +12,11 @@ from symfunc.partitions import (
     insert_parts,
     mult_count,
     partitions_of,
+    partitions_upto,
     straighten,
+    z_value,
 )
-from symfunc.ring import SymFunc, basis_element, en, hn, pn
+from symfunc.ring import SymFunc, basis_element, en, hn, pn, skew
 from symfunc.tableaux import (
     bounded_height_pairs,
     bounded_height_schur_sum,
@@ -247,6 +249,78 @@ def test_omega_conjugation_random(lam, k):
     assert cf_column(1, k, g) == cf_column_literal(1, k, g)
     assert cf_column(0, k, g) == cf_column_literal(0, k, g)
     assert rf_row(k, g) == rf_row_literal(k, g)
+
+
+# --- the kernel every operator sums through ----------------------------------
+
+# 3 p_2 - p_11 skews p_21 + p_111 to 0: 3 * 2 p_1 - 6 p_1, a numerator that cancels
+_CANCELLING = 3 * pn(2) - b("p", (1, 1))
+_CANCELLED = b("p", (2, 1)) + b("p", (1, 1, 1))
+
+_small = st.lists(st.integers(1, 3), max_size=3).filter(lambda xs: sum(xs) <= 3).map(
+    lambda xs: P(sorted(xs, reverse=True))
+)
+# non-homogeneous operands with fractional coefficients, the zero operand
+# among them, sometimes plus a part that _CANCELLING annihilates
+_operands = st.tuples(
+    st.lists(
+        st.tuples(
+            st.fractions(-3, 3, max_denominator=4), st.sampled_from("pmhesf"), _small
+        ),
+        max_size=3,
+    ),
+    st.booleans(),
+).map(
+    lambda drawn: SymFunc.sum(
+        [(c, b(x, lam)) for c, x, lam in drawn[0]] + [(int(drawn[1]), _CANCELLED)]
+    )
+)
+
+
+def _kernel_terms(by_basis, cancel, image_basis, coefficient):
+    """A (by, image) pair as the operators pass it: by(lam) is b_lam, or
+    b_lam * _CANCELLING; image(lam) is (c, f) with c one of the operators'
+    coefficient kinds and f a basis element two boxes larger, or (0, 0), as
+    CS's straighten sign 0 gives, on odd lengths."""
+
+    def by(lam):
+        f = b(by_basis, lam)
+        return f * _CANCELLING if cancel else f
+
+    def image(lam):
+        if coefficient == "zero" and len(lam) % 2:
+            return 0, SymFunc.zero()
+        c = Fraction(1, z_value(lam)) if coefficient == "z" else (-1) ** sum(lam)
+        return c, b(image_basis, insert_parts(lam, P((2,))))
+
+    return by, image
+
+
+@given(
+    _operands,
+    st.sampled_from("pmhesf"),
+    st.booleans(),
+    st.sampled_from("pmhesf"),
+    st.sampled_from(("z", "sign", "zero")),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_kernel_is_the_literal_sum(g, by_basis, cancel, image_basis, coefficient):
+    by, image = _kernel_terms(by_basis, cancel, image_basis, coefficient)
+    lams = list(partitions_upto(g.degree()))
+    want = SymFunc.sum((c, f * skew(by(lam), g)) for lam in lams for c, f in (image(lam),))
+    assert ring._perp_sum(g, lams, by, image) == want
+
+
+def test_kernel_skips_the_image_of_a_cancelled_skew():
+    # every numerator of _CANCELLING^perp _CANCELLED cancels, so no image is
+    # asked for; skewing by 1 leaves _CANCELLED, whose image is asked for once
+    image = Mock(return_value=(1, one))
+    assert ring._perp_sum(_CANCELLED, [P(())], lambda lam: _CANCELLING, image).is_zero
+    image.assert_not_called()
+    got = ring._perp_sum(_CANCELLED, [P(())], lambda lam: one, image)
+    assert got == _CANCELLED
+    image.assert_called_once_with(P(()))
+    assert ring._perp_sum(SymFunc.zero(), [P(())], lambda lam: one, image).is_zero
 
 
 def test_rs_anticommutation_small():
