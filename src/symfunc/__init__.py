@@ -49,7 +49,6 @@ _EXPORTS = {
         "cm_column",
         "cp_column",
         "cs_column",
-        "everything_op",
         "named_operator",
         "rf_row",
         "rm_row",
@@ -64,10 +63,10 @@ _EXPORTS = {
         "bounded_height_pairs",
         "bounded_height_schur_sum",
         "catalan",
-        "rs0_power_expansion",
         "syt_count",
         "theta",
     ),
+    "oracles": ("everything_op", "rs0_power_expansion"),
 }
 
 # exported name -> its defining submodule; each of these submodules is

@@ -17,7 +17,8 @@ Each subcommand imports only the modules it runs.  The parser reads its
 choices from symfunc.names; count loads tableaux; expand and inner load the
 expression reader and the ring; apply loads those and the vertex operators;
 verify alone loads symfunc.verify, the one module that knows the suite
-names.  json is loaded only for --json and --verbose.
+names, and with it the second routes in oracles and polyoracle.  json is
+loaded only for --json and --verbose.
 """
 
 from __future__ import annotations

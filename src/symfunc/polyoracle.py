@@ -9,8 +9,10 @@ Each basis element is realized directly from its combinatorial definition,
 from exponent vectors alone, with no use of the ring's transition
 machinery: m_lam is the orbit sum of x^lam, and p and e are products of
 the orbit sums p_n = m_(n) and e_n = m_(1^n); h sums every multiset of
-variables, and s every semistandard tableau.  Realizing a SymFunc goes the
-other way, through its power-sum coordinates.  Comparing the two catches conversion
+variables, and s every semistandard tableau; f counts, up to the sign
+(-1)^{|lam| - l(lam)}, the rearrangements of lam's parts that refine each
+monomial's index (Doubilet 1972).  Realizing a SymFunc goes the other way,
+through its power-sum coordinates.  Comparing the two catches conversion
 bugs: the projection onto v variables is injective on symmetric functions
 of degree <= v, so equality at v >= degree is conclusive.
 """
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Iterable, Optional
 
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 from .ring import BASES, SymFunc, basis_element
 
 Monomial = tuple[int, ...]
@@ -87,6 +89,24 @@ def _schur_ssyt(lam: Partition, v: int) -> Poly:
     return terms
 
 
+def _forgotten(lam: Partition, v: int) -> Poly:
+    """f_lam = eps_lam * sum over nu |- |lam| of a_{lam,nu} m_nu, with
+    eps_lam = (-1)^{|lam| - l(lam)} (Doubilet 1972; Stanley, EC2 Ex. 7.9).
+
+    a_{lam,nu} counts the distinct rearrangements of lam's parts whose
+    prefix sums include nu_1, nu_1 + nu_2, ...; the orbits of distinct nu
+    are disjoint, so each monomial takes one count."""
+    n = sum(lam)
+    sign = -1 if (n - len(lam)) % 2 else 1
+    cuts = [set(accumulate(alpha)) for alpha in set(permutations(lam))]
+    out: Poly = {}
+    for nu in partitions_of(n, max_length=v):
+        marks = set(accumulate(nu))
+        if count := sum(marks <= cut for cut in cuts):
+            out.update(dict.fromkeys(_monomial_orbit(nu, v), sign * count))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _realize_p(lam: Partition, v: int) -> Poly:
     """Memoized, so never handed out: callers read it or copy it."""
@@ -97,8 +117,6 @@ def realize(b: str, lam: Partition, v: int) -> Poly:
     """Realize the basis element b_lam as a polynomial in ``v`` variables.
 
     For m and s with l(lam) > v the realization is 0 (too few variables).
-    The forgotten basis has no direct combinatorial expansion here, so it is
-    realized through its power-sum coordinates.
     """
     lam = Partition(lam)
     if b == "p":
@@ -112,7 +130,7 @@ def realize(b: str, lam: Partition, v: int) -> Poly:
     if b == "h":
         return _product((_homogeneous(part, v) for part in lam), v)
     if b == "f":
-        return realize_symfunc(basis_element("f", lam), v)
+        return _forgotten(lam, v)
     raise ValueError(f"unknown basis {b!r}; expected one of {BASES}")
 
 

@@ -15,7 +15,9 @@ independent routes compute it:
 
 The bounded-height Schur generating function itself also has two routes
 (direct composition-indexed determinant sum, or the Schur column adder at
-width zero), which the test suite plays against each other.
+width zero), which the test suite plays against each other.  The
+brute-force tableau count and the expansion of the width-zero Schur row
+adder's powers, second routes that only checks run, live in ``oracles``.
 
 At module level this module loads only ``partitions`` and the names table,
 so ``closed`` and ``brute`` counts run without the ring.  The routes that
@@ -26,7 +28,7 @@ vertex operators.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .names import PAIR_METHODS
 from .partitions import (
@@ -57,29 +59,6 @@ def syt_count(lam: Partition) -> int:
     if rem:
         raise ArithmeticError(f"hook product does not divide {n}! for shape {lam}")
     return count
-
-
-def syt_count_brute(lam: Partition) -> int:
-    """Count standard tableaux by backtracking over valid insertion corners.
-
-    Exponential; test oracle only.
-    """
-    lam = Partition(lam)
-    n = sum(lam)
-    fills = [0] * len(lam)  # cells already filled per row
-
-    def place(step: int) -> int:
-        if step > n:
-            return 1
-        total = 0
-        for i, row in enumerate(lam):
-            if fills[i] < row and (i == 0 or fills[i - 1] > fills[i]):
-                fills[i] += 1
-                total += place(step + 1)
-                fills[i] -= 1
-        return total
-
-    return place(1)
 
 
 def theta(g: SymFunc) -> dict[int, Fraction]:
@@ -133,24 +112,6 @@ def bounded_height_schur_sum(n: int, k: int, method: str = "formula") -> SymFunc
     return _from_h(terms)
 
 
-def rs0_power_expansion(n: int, k: int) -> SymFunc:
-    """Expansion of the k-th power of the width-zero Schur row adder on h_1^n:
-
-        sum over 0 <= l <= n, s a composition of n - l into k parts of
-            (-1)^{n-l} * multinomial(n; l, s) * h_1^l * det|h_{s_j - j + i}|,
-
-    which, as multinomial(n; l, s) = C(n, l) * multinomial(n - l; s), is
-    sum over l of (-1)^{n-l} C(n, l) h_1^l times the bounded-height Schur
-    sum of degree n - l.  Must agree with rs_rows(0, k, h_1^n).
-    """
-    from .ring import SymFunc, hn
-
-    return SymFunc.sum(
-        ((-1) ** (n - l) * math.comb(n, l), hn(1) ** l * bounded_height_schur_sum(n - l, k))
-        for l in range(n + 1)
-    )
-
-
 def bounded_height_pairs(n: int, k: int, method: str = PAIR_METHODS[0]) -> int:
     """Number of pairs of same-shape standard tableaux with at most k rows,
     by ``method``, closed (``PAIR_METHODS[0]``, the one default) unless named.
@@ -186,25 +147,48 @@ def bounded_height_pairs(n: int, k: int, method: str = PAIR_METHODS[0]) -> int:
 
 
 def closed_form_terms(n: int, k: int) -> Iterator[tuple[Composition, Fraction]]:
-    """Per-composition contributions of the closed-form pair count."""
+    """(s, n!/N! * multinomial(n; s) * multinomial(N; u) * prod_{i<j} (u_j - u_i))
+    for each composition s of n into k parts, in ``compositions_of`` order,
+    zeros included, where u_i = s_i + i and N = n + k(k-1)/2: the terms of
+    the sum that ``bounded_height_pairs`` computes, at the height it clamps k to.
+    """
     need_int(n, 0, "n")
     need_int(k, 1, "k")
     from fractions import Fraction
+    from itertools import combinations
 
-    scale = Fraction(math.factorial(n), math.factorial(n + k * (k - 1) // 2))
-    return ((s, scale * w) for s, w in _closed_numerators(n, k))
+    k = min(k, max(n, 1))
+    big = n + k * (k - 1) // 2
+    scale = Fraction(math.factorial(n), math.factorial(big))
+
+    def term(s: Composition) -> Fraction:
+        u = [part + i for i, part in enumerate(s)]
+        vandermonde = math.prod(uj - ui for ui, uj in combinations(u, 2))
+        return scale * (_multinomial(n, s) * _multinomial(big, u) * vandermonde)
+
+    return ((s, term(s)) for s in compositions_of(n, k))
 
 
-def _closed_tables(n: int, k: int) -> tuple[list[int], Callable[[int, int], list[int]]]:
-    """The binomial tables of the closed-form numerators, for k >= 2: the
-    row ``last`` of the last part, whose prefix sums are n and N, and
-    ``row(j, S)``, the row of part j >= 0 after a prefix summing to S.
+def _closed_total(n: int, k: int) -> int:
+    """The sum over compositions s of n into k parts of
+    multinomial(n; s) * multinomial(N; u) * prod_{i<j} (u_j - u_i), with
+    u_i = s_i + i and N = n + k(k-1)/2: the numerators of
+    ``closed_form_terms(n, k)``, without their common factor n!/N!.
 
-    Here u_i = s_i + i and N = n + k(k-1)/2.  Both multinomials of the
-    closed form are products over the parts of binomials of prefix sums, so
-    choosing s_j after a prefix with sums S and U multiplies the prefix
-    weight by row(j, S)[s_j] = C(S + s_j, s_j) * C(U + u_j, u_j).
+    Both multinomials are products over the parts of binomials of prefix
+    sums, so choosing s_j after a prefix with sums S and U multiplies the
+    prefix weight by row(j, S)[s_j] = C(S + s_j, s_j) * C(U + u_j, u_j), and
+    the last part, whose prefix sums are n and N, by last[s_l].  Each level
+    returns the integer total of a prefix's subtree, which the level above
+    multiplies by the prefix's own binomial and Vandermonde factors, so a
+    factor shared by a subtree is applied once and a zero factor prunes it.
+    The last level is one loop over the second-to-last part: its leaf
+    multiplies the Vandermonde factors
+    (u_l - u_j) * prod_i (u_j - u_i)(u_l - u_i) as small integers first, and
+    the two big binomial rows come in with two multiplications.
     """
+    if k == 1:
+        return 1
     big = n + k * (k - 1) // 2
     last = [math.comb(n, s) * math.comb(big, s + k - 1) for s in range(n + 1)]
     # a row of level j >= 2 serves every prefix with the same sum, so it is
@@ -226,24 +210,6 @@ def _closed_tables(n: int, k: int) -> tuple[list[int], Callable[[int, int], list
             if j > 1:
                 rows[j, S] = out
         return out
-
-    return last, row
-
-
-def _closed_total(n: int, k: int) -> int:
-    """The sum of the closed-form numerators of ``_closed_numerators(n, k)``.
-
-    Each level returns the integer total of a prefix's subtree, which the
-    level above multiplies by the prefix's own binomial and Vandermonde
-    factors, so a factor shared by a subtree is applied once and a zero
-    factor prunes it.  The last level is one loop over the second-to-last
-    part: its leaf multiplies the Vandermonde factors
-    (u_l - u_j) * prod_i (u_j - u_i)(u_l - u_i) as small integers first, and
-    the two big binomial rows come in with two multiplications.
-    """
-    if k == 1:
-        return 1
-    last, row = _closed_tables(n, k)
 
     def subtree(j: int, rest: int, u: tuple) -> int:
         binom = row(j, n - rest)
@@ -268,43 +234,6 @@ def _closed_total(n: int, k: int) -> int:
         return total
 
     return subtree(0, n, ())
-
-
-def _closed_numerators(n: int, k: int) -> Iterator[tuple[Composition, int]]:
-    """(s, multinomial(n; s) * multinomial(N; u) * V(u)) for each composition
-    s of n into k parts, in ``compositions_of`` order, zeros included: the
-    per-composition listing behind ``closed_form_terms``.
-
-    Here u_i = s_i + i, N = n + k(k-1)/2 and V(u) = prod_{i<j} (u_j - u_i).
-    Since n! / prod_i u_i! = (n!/N!) * multinomial(N; u), the closed-form term
-    of s is n!/N! times its value.  Each prefix weight, a product of the
-    ``_closed_tables`` rows and the Vandermonde factors so far, is shared by
-    its whole subtree; the count sums the same values by ``_closed_total``.
-    """
-    if k == 1:
-        yield (n,), 1
-        return
-    last, row = _closed_tables(n, k)
-
-    def extend(j: int, rest: int, weight: int, s: tuple, u: tuple) -> Iterator:
-        binom = row(j, n - rest)
-        for sj in range(rest, -1, -1):
-            uj = sj + j
-            w = weight * binom[sj]
-            for ui in u:
-                w *= uj - ui
-            if j < k - 2:
-                yield from extend(j + 1, rest - sj, w, s + (sj,), u + (uj,))
-                continue
-            # the last part takes what is left
-            sl = rest - sj
-            ul = sl + k - 1
-            w *= last[sl] * (ul - uj)
-            for ui in u:
-                w *= ul - ui
-            yield s + (sj, sl), w
-
-    yield from extend(0, n, 1, (), ())
 
 
 def catalan(n: int) -> int:

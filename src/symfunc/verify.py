@@ -7,6 +7,8 @@ failure message, built only then, when it fails.  ``@check`` registers each
 check under its name, and the name's prefix before ": " is its suite in
 SUITES, the one list of suite names.  One runner, run_check, counts the
 cases and collects the failures; run_suites and run_criterion use it.
+This module holds only the checks and their runners: the second routes
+they compare the library with live in ``oracles`` and ``polyoracle``.
 
 Every range in Bounds follows from one depth: the command line runs depth
 4 by default (--max-degree), and the acceptance gate runs depth 8.
@@ -25,11 +27,10 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Optional
 
-from . import polyoracle, tableaux, vertex
+from . import oracles, polyoracle, tableaux, vertex
 from .partitions import (
     Partition,
     add_columns,
-    binomial,
     compositions_of,
     conjugate,
     count_partitions,
@@ -367,26 +368,6 @@ def check_monomial_product_rule(b: Bounds) -> Iterator[Optional[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _action_law(
-    op: str, a: Optional[int], k: Optional[int], family: str, mu: Partition
-) -> SymFunc:
-    """The image of b_mu (b = ``family``) under ``op`` as the paper states
-    it, built from partition helpers and never through ``vertex``.  Column
-    adders give b_{mu + a^k} (a = 1 for CH and CE), or 0 where that shape
-    is undefined; RS straightens (a) + mu, which is s_{mu + (a)} when
-    a >= mu_1; the other row adders insert a^k (k = 1 for RM1, RM and RF),
-    RM1 and RMK with the factor C(n_a(mu) + k, k)."""
-    if op == "RS":
-        res = straighten((a,) + tuple(mu))
-        return SymFunc.zero() if res.is_zero else res.sign * basis_element("s", res.shape)
-    if op.startswith("C"):
-        shape = add_columns(mu, 1 if a is None else a, k)
-        return SymFunc.zero() if shape is None else basis_element(family, shape)
-    rows = 1 if k is None else k
-    coeff = binomial(mult_count(mu, a) + rows, rows) if op in ("RM1", "RMK") else 1
-    return coeff * basis_element(family, insert_parts(mu, Partition((a,) * rows)))
-
-
 # check name -> (OPERATORS name, input family, least a, least k) per operator
 # checked; a and k run up to Bounds.a_max and k_max, None marks a parameter
 # the operator does not take, and a callable least k is a function of l(mu).
@@ -422,7 +403,7 @@ def check_action_laws(name: str, b: Bounds) -> Iterator[Optional[str]]:
             for a in (None,) if least_a is None else range(least_a, b.a_max + 1):
                 for k in (None,) if k_from is None else range(k_from, b.k_max + 1):
                     got = vertex.named_operator(op, a, k)(g)
-                    ok = got == _action_law(op, a, k, family, mu)
+                    ok = got == oracles.action_law(op, a, k, family, mu)
                     yield None if ok else f"{op} a={a} k={k} on {family}_{mu}"
 
 
@@ -433,24 +414,6 @@ for _name in ACTION_LAWS:
 # ---------------------------------------------------------------------------
 # operator identities
 # ---------------------------------------------------------------------------
-
-
-def _signed_perp_sum(
-    g: SymFunc,
-    lams: Iterable[Partition],
-    by: Callable[[Partition], SymFunc],
-    image: Callable[[Partition], tuple[int, SymFunc]],
-) -> SymFunc:
-    """sum over lam in ``lams`` of (-1)^{|lam|} c * f * by(lam)^perp g for
-    (c, f) = image(lam), built only where the skew is nonzero.  The oracles
-    keep this loop of their own, apart from the one the operators sum
-    through, so that a fault in that loop cannot show on both sides of a check."""
-    return SymFunc.sum(
-        ((-1) ** sum(lam) * c, f * skewed)
-        for lam in lams
-        if not (skewed := skew(by(lam), g)).is_zero
-        for c, f in (image(lam),)
-    )
 
 
 @check("identities: Schur row adder anticommutation")
@@ -503,65 +466,17 @@ def check_rm_commutativity(b: Bounds) -> Iterator[Optional[str]]:
                 yield None if ok else f"RM_{a} RM_{a2} not commuting on m_{lam}"
 
 
-# The literal defining sums of the three omega-mirrored operators, which the
-# library computes as omega o X o omega.
-def ce_column_literal(k: int, g: SymFunc) -> SymFunc:
-    """sum over l(lam) <= k of (-1)^{|lam|} h_{lam + 1^k} f_lam^perp."""
-    return _signed_perp_sum(
-        g,
-        partitions_upto(g.degree(), max_length=k),
-        partial(basis_element, "f"),
-        lambda lam: (1, basis_element("h", add_columns(lam, 1, k))),
-    )
-
-
-def cf_column_literal(a: int, k: int, g: SymFunc) -> SymFunc:
-    """sum over lam of (-1)^{|lam|} C(n_a(lam) + k, k) f_{lam + (a^k)} h_lam^perp
-    for a >= 1; at a = 0 the forgotten expansion projected onto length <= k."""
-    if a == 0:
-        return SymFunc.sum(
-            (c, basis_element("f", mu)) for mu, c in expand(g, "f").terms.items() if len(mu) <= k
-        )
-    return _signed_perp_sum(
-        g,
-        partitions_upto(g.degree()),
-        partial(basis_element, "h"),
-        lambda lam: (
-            binomial(mult_count(lam, a) + k, k),
-            basis_element("f", insert_parts(lam, Partition((a,) * k))),
-        ),
-    )
-
-
-def rf_row_literal(a: int, g: SymFunc) -> SymFunc:
-    """sum over k >= 0, l(lam) <= k + 1 of
-    (-1)^{|lam| + k} f_{lam + a^{k+1}} h_lam^perp (e_a^k)^perp, for a >= 1."""
-    deg = g.degree()
-    return SymFunc.sum(
-        (
-            (-1) ** k,
-            _signed_perp_sum(
-                skew(basis_element("e", Partition((a,) * k)), g),
-                partitions_upto(deg - a * k, max_length=k + 1),
-                partial(basis_element, "h"),
-                lambda lam: (1, basis_element("f", add_columns(lam, a, k + 1))),
-            ),
-        )
-        for k in range(deg // a + 1)
-    )
-
-
 @check("identities: omega conjugation for CE/CF/RF")
 def check_omega_conjugation(b: Bounds) -> Iterator[Optional[str]]:
     for lam, g in _basis_upto("p", b.identity_degree):
         for k in range(1, b.k_max + 1):
-            ok = vertex.ce_column(k, g) == ce_column_literal(k, g)
+            ok = vertex.ce_column(k, g) == oracles.ce_column_literal(k, g)
             yield None if ok else f"CE != its literal sum on p_{lam}, k={k}"
             for a in range(b.a_max + 1):
-                ok = vertex.cf_column(a, k, g) == cf_column_literal(a, k, g)
+                ok = vertex.cf_column(a, k, g) == oracles.cf_column_literal(a, k, g)
                 yield None if ok else f"CF != its literal sum on p_{lam}, a={a}, k={k}"
         for a in range(1, b.a_max + 1):
-            ok = vertex.rf_row(a, g) == rf_row_literal(a, g)
+            ok = vertex.rf_row(a, g) == oracles.rf_row_literal(a, g)
             yield None if ok else f"RF != its literal sum on p_{lam}, a={a}"
 
 
@@ -596,7 +511,7 @@ def _check_paired(
             for lam, g in _basis_upto("p", b.identity_degree):
                 mus = list(partitions_upto(g.degree(), max_length=k if short else None))
                 for (x, by, y, basis), image in zip(sides, images):
-                    ok = vertex.named_operator(x, a, k)(g) == _signed_perp_sum(
+                    ok = vertex.named_operator(x, a, k)(g) == oracles.signed_perp_sum(
                         g, mus, _SKEW_BY[by], image
                     )
                     yield None if ok else f"{x} != sum {y}({basis}) {by}-skew at {at}, p_{lam}"
@@ -620,9 +535,9 @@ check_eerie_cs = check("identities: paired Schur row/column relation")(partial(
 def check_cs_everything(b: Bounds) -> Iterator[Optional[str]]:
     for a in range(b.a_max + 1):
         for k in range(b.k_max + 1):
-            law = partial(_action_law, "CS", a, k, "s")
+            law = partial(oracles.action_law, "CS", a, k, "s")
             for lam, g in _basis_upto("p", b.identity_degree):
-                ok = vertex.cs_column(a, k, g) == vertex.everything_op("s", law, g)
+                ok = vertex.cs_column(a, k, g) == oracles.everything_op("s", law, g)
                 yield None if ok else f"CS != everything-operator at a={a}, k={k}, p_{lam}"
 
 
@@ -713,7 +628,7 @@ def check_schur_sum_lemma(b: Bounds) -> Iterator[Optional[str]]:
 def check_rsform(b: Bounds) -> Iterator[Optional[str]]:
     for n in range(b.identity_degree + 1):
         for k in range(1, b.rsform_k + 1):
-            ok = tableaux.rs0_power_expansion(n, k) == vertex.rs_rows(0, k, hn(1) ** n)
+            ok = oracles.rs0_power_expansion(n, k) == vertex.rs_rows(0, k, hn(1) ** n)
             yield None if ok else f"width-zero power expansion mismatch at n={n}, k={k}"
 
 
@@ -747,7 +662,7 @@ def check_theta(b: Bounds) -> Iterator[Optional[str]]:
 @check("tableaux: hook-length count vs enumeration")
 def check_syt_brute(b: Bounds) -> Iterator[Optional[str]]:
     for lam in partitions_upto(max(b.degree, 8)):
-        ok = tableaux.syt_count(lam) == tableaux.syt_count_brute(lam)
+        ok = tableaux.syt_count(lam) == oracles.syt_count_brute(lam)
         yield None if ok else f"hook count != enumeration at {lam}"
 
 

@@ -25,7 +25,6 @@ adders add a to each of its first k parts.  The action laws, in brief:
   rs_rows(a, k):     the k-th power of rs_row(a) in closed form
   cs_column(a, k):   s_lam -> s_{lam + a^k}  (0 when l(lam) > k)
   t_minus_x:         constant-term extraction
-  everything_op:     b_mu -> assignment(mu), linearly
 
 Here lam + (a) inserts a part and lam + a^k adds a column of height k.  No
 coefficient normalization of the row adders' action survives at a = 0, so
@@ -43,7 +42,10 @@ RSK reads CS's and CS reads RSK's, the straightened s_{(a^k, lam)}.
 Three operators are the omega-images of three others and are computed that
 way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
 omega and rf_row = omega o rm_row o omega.  Their literal defining sums live
-in ``verify`` as oracles for that conjugation.
+in ``oracles``, the second routes that the checks compare with, as does the
+everything operator b_mu -> assignment(mu).  t_minus_x_sum stays here: it
+sums through ring._perp_sum, so that check_tx_forms tests that kernel
+against t_minus_x.
 
 OPERATORS (stated in ``names``) names each operator as --op does, with its
 function's name and its least a and k, the one statement of its domain: the
@@ -306,21 +308,6 @@ def t_minus_x_sum(g: SymFunc, pair: str = "ss") -> SymFunc:
         raise ValueError(f"pair must be one of {tuple(_TX_PAIRS)}")
     mult, by = _TX_PAIRS[pair]
     return _perp_sum(g, partitions_upto(g.degree()), by, lambda lam: (_sign(lam), mult(lam)))
-
-
-def everything_op(
-    b: str, assignment: Callable[[Partition], Optional[SymFunc]], g: SymFunc
-) -> SymFunc:
-    """The operator sending the basis element b_mu to assignment(mu), applied
-    linearly to ``g``.  Raises LookupError naming any partition present in
-    the expansion of ``g`` for which the assignment returns None."""
-    terms = []
-    for mu, c in expand(g, b).terms.items():
-        image = assignment(mu)
-        if image is None:
-            raise LookupError(f"assignment undefined for partition {mu}")
-        terms.append((c, image))
-    return SymFunc.sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,17 @@ def test_count_verbose_terms(capsys):
     assert total == 2
 
 
+def test_count_verbose_lists_the_clamped_sum(capsys):
+    # A shape of 6 boxes has at most 6 rows, so the count sums over
+    # compositions into 6 parts, and the listing shows that sum.
+    code, out, _ = run_cli(capsys, "count", "--n", "6", "--k", "20", "--verbose")
+    first, rest = out.split("\n", 1)
+    terms = json.loads(rest)
+    assert (code, first, len(terms)) == (0, "720", 462)
+    assert {len(t["composition"]) for t in terms} == {6}
+    assert sum(int(t["term"]) for t in terms) == 720
+
+
 def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "expand", "h[2,")
     assert code == 2
@@ -252,12 +263,13 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 
 def test_package_import_leaves_out_the_oracle():
-    assert _loaded_by_import("symfunc", ("symfunc.polyoracle",)) == "[]\n"
+    names = ("symfunc.oracles", "symfunc.polyoracle")
+    assert _loaded_by_import("symfunc", names) == "[]\n"
 
 
 def test_cli_import_leaves_out_the_checks():
     # Only the verify command loads them.
-    names = ("symfunc.verify", "symfunc.polyoracle")
+    names = ("symfunc.verify", "symfunc.oracles", "symfunc.polyoracle")
     assert _loaded_by_import("symfunc.cli", names) == "[]\n"
 
 
@@ -279,6 +291,12 @@ SUBCOMMAND_MODULES = {
     "inner": (["inner", "h[2,1]", "m[2,1]"], TEXT_MODULES),
     "apply": (["apply", "--op", "CS", "--a", "0", "--k", "2", "h[1]^2"], APPLY_MODULES),
     "apply json": (["apply", "--op", "TX", "--json", "p[2] + 3"], APPLY_MODULES),
+    # the only command that loads the second routes
+    "verify": (
+        ["verify", "--suite", "partitions"],
+        ["cli", "names", "oracles", "partitions", "polyoracle", "ring", "tableaux", "verify",
+         "vertex"],
+    ),
 }
 
 

@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symfunc import polyoracle
+from symfunc import polyoracle, verify
 from symfunc.partitions import Partition, partitions_of
 from symfunc.polyoracle import check_conversion, first_mismatch, mul, realize, realize_symfunc
 from symfunc.ring import BASES, SymFunc, basis_element
 
 P = Partition
+BOUNDS = verify.Bounds(3)
 
 # realizations get expensive with many variables; keep |lam| <= 6 so the
 # conclusive choice v = |lam| stays small
@@ -75,6 +76,23 @@ def test_first_mismatch_reports_monomial(monkeypatch):
         polyoracle, "realize", lambda b, lam, v: original("e" if b == "h" else b, lam, v)
     )
     assert first_mismatch("h", P((2,)), 2) == ((0, 2), 0, 1)
+
+
+def test_conversion_check_sees_a_doubled_forgotten_basis(monkeypatch):
+    # f is realized by Doubilet's count, not through the conversion it is
+    # compared with, so a fault in the ring's f reaches only one side.
+    check = verify.check_oracle_conversions
+    _, cases, bad = verify.run_check(check, BOUNDS)
+    assert cases and not bad, bad
+    original = polyoracle.basis_element
+    monkeypatch.setattr(
+        polyoracle,
+        "basis_element",
+        lambda b, lam: 2 * original(b, lam) if b == "f" else original(b, lam),
+    )
+    _, patched_cases, patched_bad = verify.run_check(check, BOUNDS)
+    assert patched_cases == cases
+    assert patched_bad and all(msg.startswith("f_") for msg in patched_bad), patched_bad
 
 
 @given(st.sampled_from(BASES), parts_strategy)

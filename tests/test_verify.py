@@ -13,8 +13,7 @@ an action law and the omega conjugation, whose literal sums skew by their
 own route, must both see it.
 """
 
-import inspect
-import re
+import ast
 from pathlib import Path
 
 import pytest
@@ -124,7 +123,7 @@ def test_checks_see_a_faulty_kernel(monkeypatch, rows, check):
     # Every operator sums through ring._perp_sum, which builds its coproduct
     # table from ring._sub_table.  The faulty kernel reads altered tables;
     # by and image are evaluated first, so no cached conversion reads them,
-    # and the literal sums in verify skew by ring.skew, a route of their own.
+    # and the literal sums in oracles skew by ring.skew, a route of their own.
     _, cases, bad = verify.run_check(check, BOUNDS)
     assert cases and not bad, bad
     kernel, sub_table = ring._perp_sum, ring._sub_table
@@ -144,11 +143,89 @@ def test_checks_see_a_faulty_kernel(monkeypatch, rows, check):
     assert verify.run_check(check, BOUNDS)[1:] == (cases, [])
 
 
-def test_verify_never_references_the_kernel():
-    # its oracles sum through skew, so a fault in the kernel cannot show on
-    # both sides of a check
-    assert not re.search(r"\b_perp_sum\b", inspect.getsource(verify))
-    assert all(value is not ring._perp_sum for value in vars(verify).values())
+# The import graph that keeps the second routes apart from the routes they
+# check; symfunc.oracles states the four rules.
+SRC = Path(__file__).resolve().parents[1] / "src" / "symfunc"
+LIBRARY = ("partitions", "names", "ring", "vertex", "tableaux", "expressions", "__init__")
+SECOND_ROUTES = ("oracles", "polyoracle", "verify")
+POLYORACLE_RING_NAMES = ("BASES", "SymFunc", "basis_element")
+
+
+def _symfunc_imports(tree):
+    """(module, name) for each import of a symfunc module in ``tree``, at
+    any depth; name is None where the module itself is imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("symfunc."):
+                    yield alias.name.removeprefix("symfunc."), None
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                source = node.module or ""
+            elif node.module == "symfunc" or (node.module or "").startswith("symfunc."):
+                source = node.module.removeprefix("symfunc").removeprefix(".")
+            else:
+                continue
+            for alias in node.names:
+                yield (alias.name, None) if source == "" else (source, alias.name)
+
+
+def independence_violations(sources):
+    """One message per broken rule, naming the module and the import, for
+    ``sources``, a dict {module name: source text} of src/symfunc."""
+    out = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for source, name in _symfunc_imports(tree):
+            what = source if name is None else f"{name} from {source}"
+            if module in LIBRARY and source in SECOND_ROUTES:
+                out.append(f"rule 1: {module} imports {what}")
+            if module == "cli" and source in ("oracles", "polyoracle"):
+                out.append(f"rule 1: {module} imports {what}")
+            if module == "oracles" and source == "vertex":
+                out.append(f"rule 2: {module} imports {what}")
+            if module == "polyoracle" and source == "ring" and name not in POLYORACLE_RING_NAMES:
+                out.append(f"rule 4: {module} imports {what}")
+        if module in SECOND_ROUTES:
+            for node in ast.walk(tree):
+                named = (
+                    {node.id} if isinstance(node, ast.Name)
+                    else {node.attr} if isinstance(node, ast.Attribute)
+                    else {node.name, node.asname} if isinstance(node, ast.alias)
+                    else set()
+                )
+                if "_perp_sum" in named:
+                    out.append(f"rule 3: {module} names _perp_sum")
+    return out
+
+
+# rule -> (module, source appended to it, the message it must raise)
+VIOLATIONS = {
+    "1 library": (
+        "tableaux",
+        "from .oracles import syt_count_brute",
+        "rule 1: tableaux imports syt_count_brute from oracles",
+    ),
+    "1 cli": ("cli", "def run():\n    from . import polyoracle", "rule 1: cli imports polyoracle"),
+    "2": (
+        "oracles",
+        "from .vertex import cs_column",
+        "rule 2: oracles imports cs_column from vertex",
+    ),
+    "3": ("verify", "kernel = ring._perp_sum", "rule 3: verify names _perp_sum"),
+    "4": ("polyoracle", "from .ring import skew", "rule 4: polyoracle imports skew from ring"),
+}
+
+
+def test_second_routes_stay_apart_from_the_library():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert set(sources) == {*LIBRARY, "cli", *SECOND_ROUTES}
+    assert independence_violations(sources) == []
+    # the walker sees an import inside a function: cli imports verify there
+    assert ("verify", None) in set(_symfunc_imports(ast.parse(sources["cli"])))
+    for module, line, message in VIOLATIONS.values():
+        broken = {**sources, module: f"{sources[module]}\n{line}\n"}
+        assert independence_violations(broken) == [message]
 
 
 FIELDS = (

@@ -24,7 +24,7 @@ from symfunc.tableaux import (
     closed_form_terms,
     theta,
 )
-from symfunc.verify import ce_column_literal, cf_column_literal, rf_row_literal
+from symfunc.oracles import ce_column_literal, cf_column_literal, everything_op, rf_row_literal
 from symfunc.vertex import (
     OPERATORS,
     ce_column,
@@ -33,7 +33,6 @@ from symfunc.vertex import (
     cm_column,
     cp_column,
     cs_column,
-    everything_op,
     named_operator,
     rf_row,
     rm_row,
