@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Optional
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, Optional
 
 from .partitions import (
     Partition,
@@ -135,6 +136,59 @@ def everything_op(
             raise LookupError(f"assignment undefined for partition {mu}")
         terms.append((c, image))
     return SymFunc.sum(terms)
+
+
+def littlewood_richardson(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """{nu: c^nu_{lam,mu}} over every nu with a nonzero coefficient: the
+    number of semistandard fillings of nu/lam with content mu whose reverse
+    reading word (rows top to bottom, each right to left) is a lattice word
+    (Macdonald ch. I section 9).  The value i goes in as a horizontal strip
+    of mu_i boxes over the shape filled so far; the word stays a lattice
+    word iff, for each row r, the i's in rows up to r number at most the
+    (i-1)'s in rows above r.  A state is the shape so far and the count of
+    the last value in each row, the only counts a later strip reads.
+    Partitions alone: no power sums, no characters, no ring."""
+    states = {(tuple(lam), None): 1}
+    for size in mu:
+        grown: dict = {}
+        for (shape, last), ways in states.items():
+            for strip in _lattice_strips(shape, last, size):
+                rows = tuple(a + x for a, x in zip_longest(shape, strip, fillvalue=0))
+                key = (tuple(r for r in rows if r), strip)
+                grown[key] = grown.get(key, 0) + ways
+        states = grown
+    out: dict[Partition, int] = {}
+    for (shape, _), ways in states.items():
+        nu = Partition(shape)
+        out[nu] = out.get(nu, 0) + ways
+    return out
+
+
+def _lattice_strips(
+    shape: tuple[int, ...], last: Optional[tuple[int, ...]], size: int
+) -> Iterator[tuple[int, ...]]:
+    """Each horizontal strip of ``size`` boxes over ``shape``, as the boxes
+    it adds to rows 0..len(shape): row r > 0 takes at most shape[r-1] -
+    shape[r] (the strip's bound is the inner shape), and, unless ``last`` is
+    None (the first value), rows up to r take at most the boxes ``last``
+    put in rows above r."""
+    bounds = [size] + [shape[r - 1] - (shape[r] if r < len(shape) else 0)
+                       for r in range(1, len(shape) + 1)]
+
+    def walk(r: int, left: int, placed: int, above: int) -> Iterator[tuple[int, ...]]:
+        if r == len(bounds):
+            if not left:
+                yield ()
+            return
+        room = min(left, bounds[r])
+        if last is not None:
+            room = min(room, above - placed)
+        below = above + (last[r] if last is not None and r < len(last) else 0)
+        for x in range(room, -1, -1):
+            for rest in walk(r + 1, left - x, placed + x, below):
+                yield (x,) + rest
+
+    return walk(0, size, 0, 0)
 
 
 def syt_count_brute(lam: Partition) -> int:

@@ -222,6 +222,17 @@ def check_jacobi_trudi(b: Bounds) -> Iterator[Optional[str]]:
         yield None if ok else f"Jacobi-Trudi mismatch at {lam}"
 
 
+@check("ring: Schur products = Littlewood-Richardson")
+def check_littlewood_richardson(b: Bounds) -> Iterator[Optional[str]]:
+    shapes = [lam for lam in partitions_upto(b.degree) if lam]
+    for lam in shapes:
+        for mu in shapes:
+            if sum(lam) + sum(mu) <= b.degree:
+                got = expand(basis_element("s", lam) * basis_element("s", mu), "s").terms
+                ok = got == oracles.littlewood_richardson(lam, mu)
+                yield None if ok else f"s_{lam} s_{mu} differs from its LR coefficients"
+
+
 @check("ring: alternating e/h convolution vanishes")
 def check_alternating_eh(b: Bounds) -> Iterator[Optional[str]]:
     for n in range(1, max(b.degree, 8) + 1):
@@ -803,7 +814,7 @@ ACCEPTANCE: tuple[tuple[int, str, int, tuple[Callable, ...]], ...] = (
     (
         3,
         "core-ring properties: pairing tables to degree 8, identities to total degree 6",
-        32574,
+        32875,
         tuple(SUITES["ring"] + SUITES["lemmas"]),
     ),
     (

@@ -143,6 +143,31 @@ def test_checks_see_a_faulty_kernel(monkeypatch, rows, check):
     assert verify.run_check(check, BOUNDS)[1:] == (cases, [])
 
 
+def test_littlewood_richardson_check_sees_a_product_dropping_a_term(monkeypatch):
+    # The mutant product loses one term wherever the product has degree 7 or
+    # more, past identity_degree (6), where every other product check stops;
+    # the Littlewood-Richardson check at depth 8 sees it.  Schur conversions
+    # multiply nothing, so no cached conversion is built through the mutant.
+    check = verify.check_littlewood_richardson
+    _, cases, bad = verify.run_check(check, Bounds(8))
+    assert cases == 301 and not bad, bad
+    original = ring._dict_mul
+
+    def dropping(a, b):
+        out = original(a, b)
+        if len(out) > 1 and ring.SymFunc._raw(out).degree() >= 7:
+            del out[next(iter(out))]
+        return out
+
+    monkeypatch.setattr(ring, "_dict_mul", dropping)
+    assert verify.run_check(check, Bounds(6))[1:] == (80, [])
+    _, patched_cases, patched_bad = verify.run_check(check, Bounds(8))
+    assert patched_cases == cases
+    assert patched_bad
+    monkeypatch.undo()
+    assert verify.run_check(check, Bounds(8))[1:] == (cases, [])
+
+
 # The import graph that keeps the second routes apart from the routes they
 # check; symfunc.oracles states the four rules.
 SRC = Path(__file__).resolve().parents[1] / "src" / "symfunc"
