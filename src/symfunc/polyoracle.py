@@ -140,7 +140,7 @@ def realize_symfunc(g: SymFunc, v: int) -> Poly:
     numerators, divided by its one denominator per monomial at the end,
     into an ``int`` where the division is exact."""
     out: Poly = {}
-    for lam, c in g._terms.items():
+    for lam, c in g.numerators():
         for mono, x in _realize_p(lam, v).items():
             out[mono] = out.get(mono, 0) + x * c
     den = g._den

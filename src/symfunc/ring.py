@@ -2,9 +2,16 @@
 
 Every symmetric function is stored in power-sum coordinates, as integer
 numerators over one shared denominator: a SymFunc is a finite map
-{partition -> nonzero int} with a denominator D >= 1, representing
+{partition id -> nonzero int} with a denominator D >= 1, representing
 sum (c_lam / D) * p_lam, always reduced so that D and the numerators have
-no common factor; that form is canonical.  Every linear combination, from
+no common factor; that form is canonical.  A partition id is an int from
+one intern table, which gives each Partition its id on first meeting and
+keeps a row per id: the Partition, its degree, z_lam and omega sign.  So
+every coefficient dict inside the ring is keyed by int, which hashes as
+itself where a tuple is hashed again on every lookup, and a term's degree,
+z and sign are read from its row, not recomputed.  Ids never leave the
+ring: items(), coefficient(), numerators(), expansions and SymFunc(terms)
+speak Partitions.  Every linear combination, from
 a + b to a parsed expression, is one SymFunc.sum of (coefficient,
 function) pairs: one pass into one dict over one lcm of the denominators,
 whose zeros SymFunc._reduced drops once.  In these
@@ -32,21 +39,25 @@ The Jacobi-Trudi determinant, expanded over the commuting h's and
 converted to p once, is a second route to s.  One memo, keyed by basis and
 partition, holds every conversion.  Skew reads, for each target index mu,
 a cached table of the sub-multisets of mu with their remainders and z
-ratios, and the product reads the merged index of each pair of indices from
-a memo.  A vertex operator's signed sum of products and skews,
+ratios, by id, and the product reads the merged index of each pair of ids
+from the merge table, one dict per id in the intern table's rows.  A vertex operator's signed sum of products and skews,
 sum c_lam f_lam * b_lam^perp g, is one kernel, _perp_sum: it reads those
 tables once into the coproduct table of g, rho -> [(mu - rho,
 g_mu z_mu / z_{mu - rho})], skews every b_lam against its rows, and adds
 every product into one accumulator over one lcm, reduced once.  SymFunc
 values are immutable once built and all functions are pure; concurrent
-readers are safe and refills are idempotent.
+readers are safe and refills are idempotent.  The intern table takes a
+lock only on a miss, so no partition gets two ids.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, gcd, lcm, prod
+from operator import mul
+from threading import Lock
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .names import BASES
@@ -66,25 +77,64 @@ ScalarLike = Union[Fraction, int]
 # is read off by expand directly).
 DUAL_BASIS = {"m": "h", "h": "m", "e": "f", "f": "e", "s": "s"}
 
-_IntDict = dict  # {Partition: int}, zeros only until SymFunc._reduced drops them
+_IntDict = dict  # {partition id: int}, zeros only until SymFunc._reduced drops them
+
+# The intern table: one row per partition id, holding the Partition, its
+# degree, z and omega sign and its row of the merge table, and _ID, the id of
+# each Partition met so far.  Ids go out in first-seen order and are never reassigned or dropped, since every
+# SymFunc holds them, so the table is not a cache and is never cleared.  A
+# miss takes the lock, fills the row, and publishes the id last, so one
+# partition never gets two ids and a reader that holds an id finds its row.
+_PARTITION: list[Partition] = []
+_DEGREE: list[int] = []
+_Z: list[int] = []
+_SIGN: list[int] = []
+_MERGED: list[dict[int, int]] = []  # id -> {id of a factor: id of the product's index}
+_ID: dict[Partition, int] = {}
+_INTERN_LOCK = Lock()
 
 
-def _omega_sign(lam: tuple[int, ...]) -> int:
-    return -1 if (sum(lam) - len(lam)) % 2 else 1
+def _intern(lam: Partition) -> int:
+    """The id of ``lam``, an exact Partition, given on its first meeting."""
+    i = _ID.get(lam)
+    if i is None:
+        with _INTERN_LOCK:
+            i = _ID.get(lam)
+            if i is None:
+                i = len(_PARTITION)
+                size = sum(lam)
+                _PARTITION.append(lam)
+                _DEGREE.append(size)
+                _Z.append(z_value(lam))
+                _SIGN.append(-1 if (size - len(lam)) % 2 else 1)
+                _MERGED.append({})
+                _ID[lam] = i
+    return i
 
 
-@lru_cache(maxsize=None)
-def _merged(lam: Partition, mu: Partition) -> Partition:
-    """The index of p_lam * p_mu, memoized: products meet the same pairs of
-    indices again and again."""
-    return insert_parts(lam, mu)
+_EMPTY_ID = _intern(EMPTY)
+
+
+def _merged(a: int, b: int) -> int:
+    """The id of the index of p_a * p_b, filled into both ids' rows of the
+    merge table on a miss: products meet the same pairs again and again.
+    The loops below read the rows inline and call this only on a miss."""
+    key = _MERGED[a].get(b)
+    if key is None:
+        key = _intern(insert_parts(_PARTITION[a], _PARTITION[b]))
+        _MERGED[a][b] = _MERGED[b][a] = key
+    return key
 
 
 def _dict_mul(a: Mapping, b: Mapping) -> _IntDict:
     out: _IntDict = {}
     for lam, ca in a.items():
+        row = _MERGED[lam]
         for mu, cb in b.items():
-            key = _merged(lam, mu)
+            try:
+                key = row[mu]
+            except KeyError:
+                key = _merged(lam, mu)
             out[key] = out.get(key, 0) + ca * cb
     return out
 
@@ -124,7 +174,7 @@ class SymFunc:
 
     @classmethod
     def one(cls) -> "SymFunc":
-        return cls._raw({EMPTY: 1})
+        return cls._raw({_EMPTY_ID: 1})
 
     @classmethod
     def sum(cls, pairs: Iterable[tuple[ScalarLike, "SymFunc"]]) -> "SymFunc":
@@ -161,10 +211,16 @@ class SymFunc:
 
     def items(self) -> Iterator[tuple[Partition, Fraction]]:
         den = self._den
-        return ((lam, Fraction(c, den)) for lam, c in self._terms.items())
+        return ((_PARTITION[i], Fraction(c, den)) for i, c in self._terms.items())
+
+    def numerators(self) -> Iterator[tuple[Partition, int]]:
+        """The integer numerators over the one denominator ``_den``, by
+        partition."""
+        return ((_PARTITION[i], c) for i, c in self._terms.items())
 
     def coefficient(self, lam: Iterable[int]) -> Fraction:
-        return Fraction(self._terms.get(Partition(lam), 0), self._den)
+        i = _ID.get(Partition(lam))  # a partition never met has no term
+        return Fraction(0 if i is None else self._terms.get(i, 0), self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -172,17 +228,17 @@ class SymFunc:
 
     def degree(self) -> int:
         """Top degree present (0 for the zero function)."""
-        return max((sum(lam) for lam in self._terms), default=0)
+        return max(map(_DEGREE.__getitem__, self._terms), default=0)
 
     def degrees(self) -> set[int]:
-        return {sum(lam) for lam in self._terms}
+        return set(map(_DEGREE.__getitem__, self._terms))
 
     def homogeneous_part(self, d: int) -> "SymFunc":
-        part = {lam: c for lam, c in self._terms.items() if sum(lam) == d}
+        part = {i: c for i, c in self._terms.items() if _DEGREE[i] == d}
         return SymFunc._reduced(part, self._den)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get(EMPTY, 0), self._den)
+        return Fraction(self._terms.get(_EMPTY_ID, 0), self._den)
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
         return SymFunc.sum(((1, self), (1, other)))
@@ -204,9 +260,10 @@ class SymFunc:
         need_int(n, 0, "exponent")
         if len(self._terms) == 1:
             # c * p_lam over d, to the n, is c^n * p_lam^n over d^n, still in
-            # lowest terms: n products would add n ever longer indices to _merged
-            ((lam, c),) = self._terms.items()
-            return SymFunc._raw({Partition(sorted(lam * n, reverse=True)): c**n}, self._den**n)
+            # lowest terms: n products would add n ever longer indices to _MERGED
+            ((i, c),) = self._terms.items()
+            lam = _wrap(tuple(sorted(_PARTITION[i] * n, reverse=True)))
+            return SymFunc._raw({_intern(lam): c**n}, self._den**n)
         out = SymFunc.one()
         for _ in range(n):
             out = out * self
@@ -223,8 +280,18 @@ class SymFunc:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def __reduce__(self):
+        # ids are assigned per process, so a pickle or a copy carries partitions
+        return _from_numerators, (dict(self.numerators()), self._den)
+
     def __repr__(self) -> str:
         return expand(self, "p").to_text() if self._terms else "0"
+
+
+def _from_numerators(terms: Mapping[Partition, int], den: int) -> SymFunc:
+    """The SymFunc with the numerators ``terms`` over ``den``, already in
+    lowest terms: the inverse of SymFunc.numerators."""
+    return SymFunc._raw({_intern(lam): c for lam, c in terms.items()}, den)
 
 
 def _need_symfunc(*operands: object) -> None:
@@ -292,12 +359,14 @@ def jacobi_trudi(seq: Iterable[int]) -> SymFunc:
     return _from_h(_jacobi_trudi_h(tuple(seq)))
 
 
-def _jacobi_trudi_h(seq: tuple[int, ...]) -> _IntDict:
+def _jacobi_trudi_h(seq: tuple[int, ...]) -> dict[Partition, int]:
     """The determinant in h-coordinates {nu: c}, zeros kept, by Laplace
     expansion along the last used row with memoization over column subsets:
-    the h's commute, so a minor times h_idx inserts idx into each index nu."""
+    the h's commute, so a minor times h_idx inserts idx into each index nu
+    (h_0 = 1 is the empty index, whose merge leaves nu as it is)."""
     size = len(seq)
-    dets: dict[int, _IntDict] = {0: {EMPTY: 1}}
+    dets: dict[int, _IntDict] = {0: {_EMPTY_ID: 1}}
+    h_ids = {0: _EMPTY_ID}  # idx -> the id of (idx,)
     for mask in range(1, 1 << size):  # each sub-mask is smaller, so filled first
         rows = mask.bit_count()
         out: _IntDict = {}
@@ -309,12 +378,18 @@ def _jacobi_trudi_h(seq: tuple[int, ...]) -> _IntDict:
             idx = seq[j] - (j + 1) + rows
             if idx < 0 or not (sub := dets[mask ^ (1 << j)]):
                 continue
-            row = _wrap((idx,))
+            h = h_ids.get(idx)
+            if h is None:
+                h = h_ids[idx] = _intern(_wrap((idx,)))
+            row = _MERGED[h]
             for nu, c in sub.items():
-                key = _merged(row, nu) if idx else nu
+                try:
+                    key = row[nu]
+                except KeyError:
+                    key = _merged(h, nu)
                 out[key] = out.get(key, 0) + sign * c
         dets[mask] = out
-    return dets[(1 << size) - 1]
+    return {_PARTITION[nu]: c for nu, c in dets[(1 << size) - 1].items()}
 
 
 def _from_h(terms: Mapping[Partition, int]) -> SymFunc:
@@ -331,11 +406,13 @@ def _beta_code(mu: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _degree_rows(n: int) -> tuple[tuple[Partition, int, int], ...]:
-    """(mu, beta code of mu, n! // z_mu) for each mu |- n, in the order of
-    partitions_of."""
+def _degree_rows(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(id of mu, beta code of mu, n! // z_mu) for each mu |- n, in the order
+    of partitions_of."""
     nf = factorial(n)
-    return tuple((mu, _beta_code(mu), nf // z_value(mu)) for mu in partitions_of(n))
+    return tuple(
+        (i, _beta_code(mu), nf // _Z[i]) for mu in partitions_of(n) for i in (_intern(mu),)
+    )
 
 
 def _class_sum(n: int, coordinate) -> SymFunc:
@@ -382,21 +459,22 @@ def _s_p(lam: Partition) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _blocks(lam: Partition) -> dict:
-    """sum over the set partitions pi of the labelled parts of lam of
+def _blocks(lam: int) -> dict:
+    """sum over the set partitions pi of the labelled parts of lam (an id) of
     mu(0, pi) p_{block sums of pi}, an integer dict {nu: c}, where
     mu(0, pi) = prod_B (-1)^{|B|-1} (|B|-1)! (Doubilet).  The block holding
     the first part also holds a sub-multiset rho of the rest, chosen in
     prod_i C(m_i(rest), m_i(rho)) = (z_rest / z_{rest - rho}) / z_rho ways.
     Every pi with block sums nu has the sign (-1)^{l(lam) - l(nu)}, so no
     coefficient cancels to zero."""
-    if not lam:
-        return {EMPTY: 1}
+    parts = _PARTITION[lam]
+    if not parts:
+        return {_EMPTY_ID: 1}
     out: _IntDict = {}
-    for rho, (nu, ratio) in _sub_table(_wrap(lam[1:])).items():
-        size = len(rho)
-        weight = (-1) ** size * factorial(size) * (ratio // z_value(rho))
-        block = _wrap((lam[0] + sum(rho),))
+    for rho, (nu, ratio) in _sub_table(_intern(_wrap(parts[1:]))).items():
+        size = len(_PARTITION[rho])
+        weight = (-1) ** size * factorial(size) * (ratio // _Z[rho])
+        block = _intern(_wrap((parts[0] + _DEGREE[rho],)))
         for kappa, c in _blocks(nu).items():
             key = _merged(block, kappa)
             out[key] = out.get(key, 0) + weight * c
@@ -407,16 +485,17 @@ def _m_p(lam: Partition) -> SymFunc:
     """Monomial symmetric function: prod_i m_i(lam)! m_lam is _blocks(lam)
     (Doubilet's Moebius inversion of p_lam = sum_pi of the augmented
     monomials of the block sums), and prod_i m_i(lam)! = z_lam / prod(lam)."""
-    return SymFunc._reduced(dict(_blocks(lam)), z_value(lam) // prod(lam))
+    i = _intern(lam)
+    return SymFunc._reduced(dict(_blocks(i)), _Z[i] // prod(lam))
 
 
 @lru_cache(maxsize=None)
 def _basis_p(b: str, lam: Partition) -> SymFunc:
     """b_lam in power-sum coordinates: the one cached conversion, shared by
     every caller, so no caller may write into the value it returns.  Keys
-    are exact Partitions, so the p index is the key itself."""
+    are exact Partitions, so the p index is the key's id."""
     if b == "p":
-        return SymFunc._raw({lam: 1})
+        return SymFunc._raw({_intern(lam): 1})
     if b == "h":
         if len(lam) > 1:
             return _product(_basis_p("h", _wrap(lam[:1])), _basis_p("h", _wrap(lam[1:])))
@@ -445,7 +524,7 @@ def inner_product(g1: SymFunc, g2: SymFunc) -> Fraction:
     """Hall inner product, diagonal in power-sum coordinates."""
     _need_symfunc(g1, g2)
     small, big = sorted((g1._terms, g2._terms), key=len)
-    total = sum(c * big[lam] * z_value(lam) for lam, c in small.items() if lam in big)
+    total = sum(c * big[i] * _Z[i] for i, c in small.items() if i in big)
     return Fraction(total, g1._den * g2._den)
 
 
@@ -455,14 +534,15 @@ def omega(g: SymFunc) -> SymFunc:
     Consequently omega h = e, omega m = f and omega s_lam = s_{lam'}.
     """
     _need_symfunc(g)
-    return SymFunc._raw({lam: c * _omega_sign(lam) for lam, c in g._terms.items()}, g._den)
+    return SymFunc._raw({i: c * _SIGN[i] for i, c in g._terms.items()}, g._den)
 
 
 @lru_cache(maxsize=None)
-def _sub_table(mu: Partition) -> dict:
+def _sub_table(mu: int) -> dict:
     """{rho: (mu - rho, z_mu // z_{mu - rho})} over every sub-multiset rho of
-    the parts of mu, prod_i (m_i(mu) + 1) rows.  Taking j of the m parts
-    equal to i contributes i^j * m! / (m - j)! to the ratio."""
+    the parts of mu, by id, prod_i (m_i(mu) + 1) rows.  Taking j of the m
+    parts equal to i contributes i^j * m! / (m - j)! to the ratio."""
+    mu = _PARTITION[mu]
     rows = [((), (), 1)]
     for i in sorted(set(mu), reverse=True):
         m = mu.count(i)
@@ -472,7 +552,7 @@ def _sub_table(mu: Partition) -> dict:
                 grown.append((rho + (i,) * j, nu + (i,) * (m - j), ratio))
                 ratio *= i * (m - j)
         rows = grown
-    return {_wrap(rho): (_wrap(nu), ratio) for rho, nu, ratio in rows}
+    return {_intern(_wrap(rho)): (_intern(_wrap(nu)), ratio) for rho, nu, ratio in rows}
 
 
 def skew(g: SymFunc, target: SymFunc) -> SymFunc:
@@ -532,8 +612,12 @@ def _perp_sum(g: SymFunc, lams: Iterable, by: Callable, image: Callable) -> SymF
         scale = c.numerator * (den // term_den)
         for kappa, x in f_terms.items():
             x *= scale
+            row = _MERGED[kappa]
             for nu, y in skewed.items():
-                key = _merged(kappa, nu)
+                try:
+                    key = row[nu]
+                except KeyError:
+                    key = _merged(kappa, nu)
                 acc[key] = acc.get(key, 0) + x * y
     return SymFunc._reduced(acc, den * g._den)
 
@@ -548,12 +632,15 @@ def expand(g: SymFunc, b: str) -> BasisExpansion:
     dual = DUAL_BASIS[b]
     terms: dict[Partition, Fraction] = {}
     for d in sorted(g.degrees()):
-        # the pairing <g_d, dual_lam> is sum_mu c_mu z_mu d_mu over g's denominator
-        weighted = {mu: c * z_value(mu) for mu, c in g._terms.items() if sum(mu) == d}
+        # the pairing <g_d, dual_lam> is sum_mu c_mu z_mu d_mu over g's
+        # denominator, summed by map in C over the shorter side's ids
+        weighted = {i: c * _Z[i] for i, c in g._terms.items() if _DEGREE[i] == d}
         for lam in partitions_of(d):
             other = _basis_p(dual, lam)
-            small, big = sorted((weighted, other._terms), key=len)
-            total = sum(c * big.get(mu, 0) for mu, c in small.items())
+            small, big = weighted, other._terms
+            if len(big) < len(small):
+                small, big = big, small
+            total = sum(map(mul, small.values(), map(big.get, small, repeat(0))))
             if total:
                 terms[lam] = Fraction(total, g._den * other._den)
     return BasisExpansion(b, terms)

@@ -17,36 +17,44 @@ DEGREE = 8
 ORACLE_VARS = 4  # the polynomial oracle's memo, at degrees up to 4
 
 
+def _decoded(terms):
+    """An id-keyed dict of the ring as sorted (partition, value) pairs."""
+    return sorted((ring._PARTITION[i], c) for i, c in terms.items())
+
+
 def _cached_values():
-    """The one conversion memo, every basis at every shape up to DEGREE, the
+    """(key, cached value, its contents with every partition id decoded) for
+    the one conversion memo, every basis at every shape up to DEGREE, the
     set-partition sums behind m, the class rows of each degree behind h and
     s, the skew's sub-multiset tables, the merged product indices and the
     oracle's power-sum polynomials."""
+    part = ring._PARTITION
     shapes = list(partitions_upto(DEGREE))
     for lam in shapes:
+        i = ring._intern(lam)
         for b in BASES:
-            yield (b, lam), ring._basis_p(b, lam)
-        yield ("_blocks", lam), ring._blocks(lam)
-        yield ("_sub_table", lam), ring._sub_table(lam)
+            value = ring._basis_p(b, lam)
+            yield (b, lam), value, (_decoded(value._terms), value._den)
+        blocks = ring._blocks(i)
+        yield ("_blocks", lam), blocks, _decoded(blocks)
+        table = ring._sub_table(i)
+        yield ("_sub_table", lam), table, sorted(
+            (part[rho], (part[nu], ratio)) for rho, (nu, ratio) in table.items()
+        )
         for mu in shapes:
             if sum(lam) + sum(mu) <= DEGREE:
-                yield ("_merged", lam, mu), ring._merged(lam, mu)
+                merged = part[ring._merged(i, ring._intern(mu))]
+                yield ("_merged", lam, mu), merged, tuple(merged)
         if sum(lam) <= ORACLE_VARS:
-            yield ("_realize_p", lam), polyoracle._realize_p(lam, ORACLE_VARS)
+            poly = polyoracle._realize_p(lam, ORACLE_VARS)
+            yield ("_realize_p", lam), poly, sorted(poly.items())
     for n in range(DEGREE + 1):
-        yield ("_degree_rows", n), ring._degree_rows(n)
-
-
-def _fingerprint(value):
-    if isinstance(value, SymFunc):
-        return (id(value), sorted(value._terms.items()), value._den)
-    if isinstance(value, dict):
-        return (id(value), sorted(value.items()))
-    return (id(value), tuple(value))
+        rows = ring._degree_rows(n)
+        yield ("_degree_rows", n), rows, tuple((part[i], code, size) for i, code, size in rows)
 
 
 def _fingerprints():
-    return {key: _fingerprint(value) for key, value in _cached_values()}
+    return {key: (id(value), contents) for key, value, contents in _cached_values()}
 
 
 def _sweep():

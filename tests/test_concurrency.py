@@ -9,7 +9,7 @@ import threading
 
 import symfunc
 from symfunc import ring, vertex
-from symfunc.partitions import partitions_of, partitions_upto
+from symfunc.partitions import Partition, partitions_of, partitions_upto, z_value
 from symfunc.ring import BASES, basis_element, hn
 
 DEGREE = 7
@@ -30,24 +30,35 @@ def _work():
     return elements, vertex.cs_column(0, 3, hn(1) ** 6)
 
 
+def _decoded(terms):
+    """An id-keyed dict of the ring, keyed by partition."""
+    return {ring._PARTITION[i]: c for i, c in terms.items()}
+
+
 def _cache_state():
-    """The size of every cache, then the value under every key up to DEGREE.
-    The sizes come first: reading fills the keys the work did not reach, the
-    same way in both states."""
+    """The size of every cache, then the value under every key up to DEGREE,
+    with each partition id decoded.  The sizes come first: reading fills the
+    keys the work did not reach, the same way in both states."""
     sizes = [fn.cache_info().currsize for fn in ALL_CACHES.values()]
     values = {}
     shapes = list(partitions_upto(DEGREE))
+    part = ring._PARTITION
     for lam in shapes:
+        i = ring._intern(lam)
         for b in BASES:
             value = ring._basis_p(b, lam)
-            values[b, lam] = (dict(value._terms), value._den)
-        values["_blocks", lam] = dict(ring._blocks(lam))
-        values["_sub_table", lam] = dict(ring._sub_table(lam))
+            values[b, lam] = (dict(value.numerators()), value._den)
+        values["_blocks", lam] = _decoded(ring._blocks(i))
+        values["_sub_table", lam] = {
+            part[rho]: (part[nu], ratio) for rho, (nu, ratio) in ring._sub_table(i).items()
+        }
         for mu in shapes:
             if sum(lam) + sum(mu) <= DEGREE:
-                values["_merged", lam, mu] = ring._merged(lam, mu)
+                values["_merged", lam, mu] = part[ring._merged(i, ring._intern(mu))]
     for n in range(DEGREE + 1):
-        values["_degree_rows", n] = ring._degree_rows(n)
+        values["_degree_rows", n] = tuple(
+            (part[i], code, size) for i, code, size in ring._degree_rows(n)
+        )
     return sizes, values
 
 
@@ -104,6 +115,39 @@ def test_every_memo_is_listed():
         "symfunc.ring._blocks",
         "symfunc.ring._chi",
         "symfunc.ring._degree_rows",
-        "symfunc.ring._merged",
         "symfunc.ring._sub_table",
+    ]
+
+
+def test_threads_interning_the_same_partitions_get_one_id_each():
+    # partitions of a degree nothing else meets, so every thread misses the
+    # intern table at once; each must come back with the same ids
+    fresh = [Partition((997, 3) + (1,) * j) for j in range(200)]
+    assert not any(lam in ring._ID for lam in fresh)
+    seen = [None] * THREADS
+    start = threading.Barrier(THREADS)
+
+    def run(t):
+        start.wait(timeout=60)
+        seen[t] = [ring._intern(lam) for lam in fresh]
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    ids = seen[0]
+    assert all(got == ids for got in seen)
+    assert len(set(ids)) == len(fresh)
+    assert [ring._PARTITION[i] for i in ids] == fresh
+    assert [ring._ID[lam] for lam in fresh] == ids
+    assert len(ring._ID) == len(ring._PARTITION) == len(ring._DEGREE) == len(ring._MERGED)
+    assert [(ring._DEGREE[i], ring._Z[i], ring._SIGN[i]) for i in ids] == [
+        (sum(lam), z_value(lam), (-1) ** (sum(lam) - len(lam))) for lam in fresh
     ]

@@ -107,10 +107,12 @@ def test_replaced_operator_is_the_one_applied(monkeypatch, capsys):
     assert verify.run_check(check, BOUNDS)[2] == []
 
 
-# mutant -> each sub-multiset table as the faulty kernel reads it: without its
-# row rho = mu, or with every z ratio read as 1
+# mutant -> each sub-multiset table, keyed by partition ids, as the faulty
+# kernel reads it: without its row rho = mu, or with every z ratio read as 1
 KERNEL_MUTANTS = {
-    "dropped-row": lambda mu, table: {rho: row for rho, row in table.items() if rho != mu},
+    "dropped-row": lambda mu, table: {
+        rho: row for rho, row in table.items() if ring._PARTITION[rho] != ring._PARTITION[mu]
+    },
     "ratio-ignored": lambda mu, table: {rho: (nu, 1) for rho, (nu, _) in table.items()},
 }
 
