@@ -24,6 +24,7 @@ loaded only for --json and --verbose.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -77,56 +78,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("expand", "apply"):
-            from .expressions import parse_expression
-            from .ring import expand
-
-            op = None
-            if args.command == "apply":
-                from .vertex import named_operator
-
-                # bound before parsing: a parameter or range error wins over a parse error
-                op = named_operator(args.op, args.a, args.k)
-            g = parse_expression(args.expr)
-            expansion = expand(g if op is None else op(g), args.basis)
-            if args.json:
-                import json
-
-                print(json.dumps(expansion.to_json_obj(), indent=2))
-            else:
-                print(expansion.to_text())
-            return 0
-
-        if args.command == "inner":
-            from .expressions import parse_expression
-            from .ring import inner_product
-
-            value = inner_product(
-                parse_expression(args.expr1), parse_expression(args.expr2)
-            )
-            print(value)
-            return 0
-
-        if args.command == "count":
-            from .tableaux import bounded_height_pairs, closed_form_terms
-
-            print(bounded_height_pairs(args.n, args.k, args.method))
-            if args.verbose:
-                import json
-
-                terms = [
-                    {"composition": list(s), "term": str(value)}
-                    for s, value in closed_form_terms(args.n, args.k)
-                ]
-                print(json.dumps(terms, indent=2))
-            return 0
-
-        # verify: a subcommand is required, so it is the only one left
-        from . import verify
-
-        ok = verify.run_suites(args.suite, verify.Bounds(args.max_degree))
-        return 0 if ok else 1
-
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone (``symfunc count ... | head -1``): what was
+        # asked for ran, so exit 0, except verify, whose report was cut
+        # short.  stdout now writes to devnull, so the flush at exit is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1 if args.command == "verify" else 0
     except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -136,6 +98,59 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print("internal error: out of memory", file=sys.stderr)
         return 3
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command, printing its results; its exit code."""
+    if args.command in ("expand", "apply"):
+        from .expressions import parse_expression
+        from .ring import expand
+
+        op = None
+        if args.command == "apply":
+            from .vertex import named_operator
+
+            # bound before parsing: a parameter or range error wins over a parse error
+            op = named_operator(args.op, args.a, args.k)
+        g = parse_expression(args.expr)
+        expansion = expand(g if op is None else op(g), args.basis)
+        if args.json:
+            import json
+
+            print(json.dumps(expansion.to_json_obj(), indent=2))
+        else:
+            print(expansion.to_text())
+        return 0
+
+    if args.command == "inner":
+        from .expressions import parse_expression
+        from .ring import inner_product
+
+        value = inner_product(
+            parse_expression(args.expr1), parse_expression(args.expr2)
+        )
+        print(value)
+        return 0
+
+    if args.command == "count":
+        from .tableaux import bounded_height_pairs, closed_form_terms
+
+        print(bounded_height_pairs(args.n, args.k, args.method))
+        if args.verbose:
+            import json
+
+            terms = [
+                {"composition": list(s), "term": str(value)}
+                for s, value in closed_form_terms(args.n, args.k)
+            ]
+            print(json.dumps(terms, indent=2))
+        return 0
+
+    # verify: a subcommand is required, so it is the only one left
+    from . import verify
+
+    ok = verify.run_suites(args.suite, verify.Bounds(args.max_degree))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

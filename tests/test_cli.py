@@ -215,6 +215,34 @@ def test_apply_op_choices_are_the_registry(capsys):
     assert "--op {" + ",".join(OPERATORS) + "}" in capsys.readouterr().out
 
 
+# command -> its exit code once the reader of its stdout has gone: verify's
+# report was cut short, so it has not shown that every check passed
+CLOSED_PIPE = {
+    "expand": (["expand", "--basis", "s", "h[3]*e[2]"], 0),
+    "apply": (["apply", "--op", "CS", "--a", "1", "--k", "2", "s[2,1]"], 0),
+    "inner": (["inner", "h[2,1]", "m[2,1]"], 0),
+    "count": (["count", "--n", "10", "--k", "10", "--verbose"], 0),
+    "verify": (["verify", "--max-degree", "1", "--suite", "partitions"], 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", CLOSED_PIPE.values(), ids=CLOSED_PIPE)
+def test_closed_stdout_pipe_is_no_fault(argv, code):
+    # as in `symfunc count --n 10 --k 10 --verbose | head -1`: the reader
+    # closes the pipe before the command writes, so its first write fails
+    env = {**os.environ, "PYTHONPATH": str(Path(symfunc.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symfunc.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == code
+    assert err == b""
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "symfunc.cli", "count", "--n", "4"],
