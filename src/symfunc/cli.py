@@ -11,7 +11,8 @@ Subcommands:
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 verification failure, 2 bad input (argparse's usage text for malformed argv,
 else ``error: <message>``, the library's own refusal), 3 internal faults (a
-broken integrality check, or out of memory).
+broken integrality check, or out of memory).  A closed stdout pipe stops
+the output silently, with exit 0, or 1 for verify, whose report was cut.
 
 Each subcommand imports only the modules it runs.  The parser reads its
 choices from symfunc.names; count loads tableaux; expand and inner load the

@@ -118,7 +118,7 @@ _EMPTY_ID = _intern(EMPTY)
 def _merged(a: int, b: int) -> int:
     """The id of the index of p_a * p_b, filled into both ids' rows of the
     merge table on a miss: products meet the same pairs again and again.
-    The loops below read the rows inline and call this only on a miss."""
+    The hot product loops read the rows inline and call this on a miss."""
     key = _MERGED[a].get(b)
     if key is None:
         key = _intern(insert_parts(_PARTITION[a], _PARTITION[b]))

@@ -231,15 +231,15 @@ def test_closed_stdout_pipe_is_no_fault(argv, code):
     # as in `symfunc count --n 10 --k 10 --verbose | head -1`: the reader
     # closes the pipe before the command writes, so its first write fails
     env = {**os.environ, "PYTHONPATH": str(Path(symfunc.__file__).parents[1])}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "symfunc.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == code
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == code
     assert err == b""
 
 
