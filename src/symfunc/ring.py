@@ -40,7 +40,8 @@ converted to p once, is a second route to s.  One memo, keyed by basis and
 partition, holds every conversion.  Skew reads, for each target index mu,
 a cached table of the sub-multisets of mu with their remainders and z
 ratios, by id, and the product reads the merged index of each pair of ids
-from the merge table, one dict per id in the intern table's rows.  A vertex operator's signed sum of products and skews,
+from the merge table, one dict per id in the intern table's rows.  A
+vertex operator's signed sum of products and skews,
 sum c_lam f_lam * b_lam^perp g, is one kernel, _perp_sum: it reads those
 tables once into the coproduct table of g, rho -> [(mu - rho,
 g_mu z_mu / z_{mu - rho})], skews every b_lam against its rows, and adds
@@ -81,10 +82,11 @@ _IntDict = dict  # {partition id: int}, zeros only until SymFunc._reduced drops 
 
 # The intern table: one row per partition id, holding the Partition, its
 # degree, z and omega sign and its row of the merge table, and _ID, the id of
-# each Partition met so far.  Ids go out in first-seen order and are never reassigned or dropped, since every
-# SymFunc holds them, so the table is not a cache and is never cleared.  A
-# miss takes the lock, fills the row, and publishes the id last, so one
-# partition never gets two ids and a reader that holds an id finds its row.
+# each Partition met so far.  Ids go out in first-seen order and are never
+# reassigned or dropped, since every SymFunc holds them, so the table is not
+# a cache and is never cleared.  A miss takes the lock, fills the row, and
+# publishes the id last, so one partition never gets two ids and a reader
+# that holds an id finds its row.
 _PARTITION: list[Partition] = []
 _DEGREE: list[int] = []
 _Z: list[int] = []
@@ -542,10 +544,10 @@ def _sub_table(mu: int) -> dict:
     """{rho: (mu - rho, z_mu // z_{mu - rho})} over every sub-multiset rho of
     the parts of mu, by id, prod_i (m_i(mu) + 1) rows.  Taking j of the m
     parts equal to i contributes i^j * m! / (m - j)! to the ratio."""
-    mu = _PARTITION[mu]
+    parts = _PARTITION[mu]
     rows = [((), (), 1)]
-    for i in sorted(set(mu), reverse=True):
-        m = mu.count(i)
+    for i in sorted(set(parts), reverse=True):
+        m = parts.count(i)
         grown = []
         for rho, nu, ratio in rows:
             for j in range(m + 1):
