@@ -109,6 +109,11 @@ def add_columns(lam: Partition, a: int, k: int) -> Optional[Partition]:
     """
     need_int(a, 0, "a")
     need_int(k, 0, "k")
+    return _add_columns(lam, a, k)
+
+
+def _add_columns(lam: Partition, a: int, k: int) -> Optional[Partition]:
+    """add_columns for callers that have checked ``a`` and ``k`` themselves."""
     if len(lam) > k:
         return None
     parts = tuple((lam[i] if i < len(lam) else 0) + a for i in range(k))

@@ -42,10 +42,12 @@ a cached table of the sub-multisets of mu with their remainders and z
 ratios, by id, and the product reads the merged index of each pair of ids
 from the merge table, one dict per id in the intern table's rows.  A
 vertex operator's signed sum of products and skews,
-sum c_lam f_lam * b_lam^perp g, is one kernel, _perp_sum: it reads those
-tables once into the coproduct table of g, rho -> [(mu - rho,
-g_mu z_mu / z_{mu - rho})], skews every b_lam against its rows, and adds
-every product into one accumulator over one lcm, reduced once.  SymFunc
+sum c_lam f_lam * b_lam^perp g, is one kernel, _perp_sum, which walks the
+lam itself: it reads those tables once into the coproduct table of g,
+rho -> [(mu - rho, g_mu z_mu / z_{mu - rho})], skews every b_lam against
+its rows, and adds every product into one accumulator over one lcm, reduced
+once.  Row rho is p_rho^perp g and no other p_lam skews g nonzero, so for
+b = p the walk reads only the keys, the sub-multisets of g's indices.  SymFunc
 values are immutable once built and all functions are pure; concurrent
 readers are safe and refills are idempotent.  The intern table takes a
 lock only on a miss, so no partition gets two ids.
@@ -59,12 +61,13 @@ from itertools import repeat
 from math import factorial, gcd, lcm, prod
 from operator import mul
 from threading import Lock
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .names import BASES
 from .partitions import (
     EMPTY,
     Partition,
+    _all_partitions,
     _wrap,
     insert_parts,
     need_int,
@@ -582,14 +585,15 @@ def skew(g: SymFunc, target: SymFunc) -> SymFunc:
     return SymFunc._reduced(out, g._den * target._den)
 
 
-def _perp_sum(g: SymFunc, lams: Iterable, by: Callable, image: Callable) -> SymFunc:
-    """sum over lam in ``lams`` of c * f * by(lam)^perp g for the pair
-    (c, f) = image(lam), asked for only where the skew is nonzero: the kernel
-    of every vertex operator.  g's coproduct is read once into a table
-    {rho: [(mu - rho, g_mu * z_mu / z_{mu - rho}) for mu in g containing rho]},
+def _perp_sum(g: SymFunc, by, image: Callable, max_length: Optional[int] = None) -> SymFunc:
+    """sum over lam in partitions_upto(deg g, max_length) of c * f *
+    by(lam)^perp g for (c, f) = image(lam), asked for only where the skew is
+    nonzero: the kernel of every vertex operator.  g's coproduct is read once
+    into a table {rho: [(mu - rho, g_mu z_mu / z_{mu - rho}) for mu containing rho]},
     each skew walks by(lam)'s terms against its rows into integer numerators,
-    and every product f * skew lands in one accumulator over one lcm of the
-    denominators, reduced once."""
+    and every product f * skew lands in one accumulator over one lcm, reduced
+    once.  ``by`` = "p", the power sums, walks only the keys: p_rho^perp g is
+    the row rho, and every other p_lam skews g to 0."""
     terms = g._terms
     if not terms:  # rm_row's inner skews often vanish; skip the walk over lams
         return g
@@ -597,17 +601,29 @@ def _perp_sum(g: SymFunc, lams: Iterable, by: Callable, image: Callable) -> SymF
     for mu, d in terms.items():
         for rho, (nu, ratio) in _sub_table(mu).items():
             table.setdefault(rho, []).append((nu, d * ratio))
+    max_length = g.degree() if max_length is None else max_length
+    if by == "p":
+        skews = [(lam, row, 1) for rho, row in table.items() if len(lam := _PARTITION[rho]) <= max_length]
+    else:
+        skews = []
+        for d in range(g.degree() + 1):
+            # whole-degree tuples up to degree 20 (2,714 partitions in all), so that a
+            # short walk at a high degree never builds all p(d) partitions for a few
+            walk = _all_partitions(d) if d <= max(max_length, 20) else partitions_of(d, max_length)
+            for lam in walk:
+                if len(lam) <= max_length:
+                    b = by(lam)
+                    skewed: _IntDict = {}
+                    for rho, c in b._terms.items():
+                        for nu, v in table.get(rho, ()):
+                            skewed[nu] = skewed.get(nu, 0) + c * v
+                    if any(skewed.values()):
+                        skews.append((lam, skewed.items(), b._den))
     live = []
-    for lam in lams:
-        b = by(lam)
-        skewed: _IntDict = {}
-        for rho, c in b._terms.items():
-            for nu, v in table.get(rho, ()):
-                skewed[nu] = skewed.get(nu, 0) + c * v
-        if any(skewed.values()):
-            c, f = image(lam)
-            if c and f._terms:
-                live.append((c, f._terms, skewed, c.denominator * f._den * b._den))
+    for lam, skewed, b_den in skews:
+        c, f = image(lam)
+        if c and f._terms:
+            live.append((c, f._terms, skewed, c.denominator * f._den * b_den))
     den = lcm(*(term_den for *_, term_den in live))
     acc: _IntDict = {}
     for c, f_terms, skewed, term_den in live:
@@ -615,7 +631,7 @@ def _perp_sum(g: SymFunc, lams: Iterable, by: Callable, image: Callable) -> SymF
         for kappa, x in f_terms.items():
             x *= scale
             row = _MERGED[kappa]
-            for nu, y in skewed.items():
+            for nu, y in skewed:
                 try:
                     key = row[nu]
                 except KeyError:

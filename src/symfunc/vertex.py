@@ -5,8 +5,10 @@ symmetric function) o (skew by another).  The defining sums are infinite but
 a skew by anything of degree greater than deg(input) annihilates, so every
 application truncates the index partition to |lam| <= deg(input).  All
 arithmetic is exact, and every such sum runs through one kernel,
-ring._perp_sum, which reads each skew from one coproduct table of the input
-and adds every product into one accumulator.
+ring._perp_sum, handed b_lam, the image of lam and a bound on l(lam): it
+walks the lam, reads each skew from one coproduct table of the input and
+adds every product into one accumulator.  For b = p (CP, t_minus_x_sum's
+pz) it walks only the sub-multisets of the input's indices.
 
 Row adders insert one part of size a into the indexing partition; column
 adders add a to each of its first k parts.  The action laws, in brief:
@@ -44,8 +46,8 @@ way: ce_column = omega o ch_column o omega, cf_column = omega o cm_column o
 omega and rf_row = omega o rm_row o omega.  Their literal defining sums live
 in ``oracles``, the second routes that the checks compare with, as does the
 everything operator b_mu -> assignment(mu).  t_minus_x_sum stays here: it
-sums through ring._perp_sum, so that check_tx_forms tests that kernel
-against t_minus_x.
+sums through ring._perp_sum, its pz pair by the p walk, so that
+check_tx_forms tests both walks of that kernel against t_minus_x.
 
 OPERATORS (stated in ``names``) names each operator as --op does, with its
 function's name and its least a and k, the one statement of its domain: the
@@ -62,19 +64,18 @@ from typing import Callable, Optional
 from .names import OPERATORS
 from .partitions import (
     Partition,
-    add_columns,
+    _add_columns,
     binomial,
     conjugate,
     insert_parts,
-    mult_count,
     need_int,
-    partitions_upto,
     straighten,
     z_value,
 )
 from .ring import (
     BasisExpansion,
     SymFunc,
+    _basis_p,
     _need_symfunc,
     _perp_sum,
     basis_element,
@@ -109,9 +110,7 @@ def cp_column(a: int, k: int, g: SymFunc) -> SymFunc:
             coeff = coeff * (pn(part + a) - pn(part) * pn(a))
         return Fraction(1, z_value(lam)), coeff
 
-    return _perp_sum(
-        g, partitions_upto(g.degree(), max_length=k), lambda lam: basis_element("p", lam), image
-    )
+    return _perp_sum(g, "p", image, k)
 
 
 def ch_column(k: int, g: SymFunc) -> SymFunc:
@@ -120,9 +119,9 @@ def ch_column(k: int, g: SymFunc) -> SymFunc:
     _check_params("CH", g, k=k)
     return _perp_sum(
         g,
-        partitions_upto(g.degree(), max_length=k),
-        lambda lam: basis_element("m", lam),
-        lambda lam: (_sign(lam), basis_element("e", add_columns(lam, 1, k))),
+        partial(_basis_p, "m"),
+        lambda lam: (_sign(lam), _basis_p("e", _add_columns(lam, 1, k))),
+        k,
     )
 
 
@@ -157,9 +156,9 @@ def rm_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     _check_params("RMK", g, a=a, k=k)
     return _perp_sum(
         g,
-        partitions_upto(g.degree(), max_length=k),
-        lambda lam: basis_element("e", lam),
-        lambda lam: (_sign(lam), basis_element("m", add_columns(lam, a, k))),
+        partial(_basis_p, "e"),
+        lambda lam: (_sign(lam), _basis_p("m", _add_columns(lam, a, k))),
+        k,
     )
 
 
@@ -209,11 +208,10 @@ def cm_column(a: int, k: int, g: SymFunc) -> SymFunc:
     column = Partition((a,) * k)
     return _perp_sum(
         g,
-        partitions_upto(g.degree()),
-        lambda lam: basis_element("e", lam),
+        partial(_basis_p, "e"),
         lambda lam: (
-            _sign(lam) * binomial(mult_count(lam, a) + k, k),
-            basis_element("m", insert_parts(lam, column)),
+            _sign(lam) * binomial(lam.count(a) + k, k),
+            _basis_p("m", insert_parts(lam, column)),
         ),
     )
 
@@ -249,9 +247,9 @@ def rs_rows(a: int, k: int, g: SymFunc) -> SymFunc:
     _check_params("RSK", g, a=a, k=k)
     return _perp_sum(
         g,
-        partitions_upto(g.degree(), max_length=k),
-        lambda lam: basis_element("s", conjugate(lam)),
-        lambda lam: (_sign(lam), basis_element("s", add_columns(lam, a, k))),
+        lambda lam: _basis_p("s", conjugate(lam)),
+        lambda lam: (_sign(lam), _basis_p("s", _add_columns(lam, a, k))),
+        k,
     )
 
 
@@ -270,11 +268,9 @@ def cs_column(a: int, k: int, g: SymFunc) -> SymFunc:
 
     def image(lam: Partition) -> tuple[int, SymFunc]:
         sign, shape = straighten((a,) * k + lam)  # sign 0: the image is 0
-        return _sign(lam) * sign, (basis_element("s", shape) if sign else SymFunc.zero())
+        return _sign(lam) * sign, (_basis_p("s", shape) if sign else SymFunc.zero())
 
-    return _perp_sum(
-        g, partitions_upto(g.degree()), lambda lam: basis_element("s", conjugate(lam)), image
-    )
+    return _perp_sum(g, lambda lam: _basis_p("s", conjugate(lam)), image)
 
 
 def t_minus_x(g: SymFunc) -> SymFunc:
@@ -287,15 +283,13 @@ def t_minus_x(g: SymFunc) -> SymFunc:
     return g.homogeneous_part(0)
 
 
-# dual pair -> (omega(a_lam), b_lam) of the constant-term operator sum
-_TX_PAIRS: dict[str, tuple[Callable[[Partition], SymFunc], Callable[[Partition], SymFunc]]] = {
-    "ss": (lambda lam: basis_element("s", lam), lambda lam: basis_element("s", conjugate(lam))),
-    "hm": (lambda lam: basis_element("e", lam), lambda lam: basis_element("m", lam)),
-    "ef": (lambda lam: basis_element("h", lam), lambda lam: basis_element("f", lam)),
-    "pz": (
-        lambda lam: omega(basis_element("p", lam)),
-        lambda lam: basis_element("p", lam) * Fraction(1, z_value(lam)),
-    ),
+# dual pair -> (omega(a_lam), b_lam) of the constant-term sum; for pz, b is "p"
+# (the kernel walks only g's table keys) and 1/z_lam moves into omega(a_lam)
+_TX_PAIRS: dict[str, tuple[Callable[[Partition], SymFunc], Callable[[Partition], SymFunc] | str]] = {
+    "ss": (partial(_basis_p, "s"), lambda lam: _basis_p("s", conjugate(lam))),
+    "hm": (partial(_basis_p, "e"), partial(_basis_p, "m")),
+    "ef": (partial(_basis_p, "h"), partial(_basis_p, "f")),
+    "pz": (lambda lam: omega(_basis_p("p", lam)) * Fraction(1, z_value(lam)), "p"),
 }
 
 
@@ -307,7 +301,7 @@ def t_minus_x_sum(g: SymFunc, pair: str = "ss") -> SymFunc:
     if pair not in _TX_PAIRS:
         raise ValueError(f"pair must be one of {tuple(_TX_PAIRS)}")
     mult, by = _TX_PAIRS[pair]
-    return _perp_sum(g, partitions_upto(g.degree()), by, lambda lam: (_sign(lam), mult(lam)))
+    return _perp_sum(g, by, lambda lam: (_sign(lam), mult(lam)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from symfunc import cli, polyoracle, ring, tableaux, verify, vertex
+from symfunc.partitions import partitions_upto
 from symfunc.ring import basis_element
 from symfunc.verify import Bounds
 
@@ -107,35 +108,47 @@ def test_replaced_operator_is_the_one_applied(monkeypatch, capsys):
     assert verify.run_check(check, BOUNDS)[2] == []
 
 
-# mutant -> each sub-multiset table, keyed by partition ids, as the faulty
-# kernel reads it: without its row rho = mu, or with every z ratio read as 1
+# mutant -> each sub-multiset table of an index of the operand g, keyed by
+# partition ids, as the faulty kernel reads it: without its row rho = mu, with
+# every z ratio read as 1, or without the longest key of g's coproduct table
+# (an index of g with the most parts), which the p-walk then never reaches
 KERNEL_MUTANTS = {
-    "dropped-row": lambda mu, table: {
+    "dropped-row": lambda g, mu, table: {
         rho: row for rho, row in table.items() if ring._PARTITION[rho] != ring._PARTITION[mu]
     },
-    "ratio-ignored": lambda mu, table: {rho: (nu, 1) for rho, (nu, _) in table.items()},
+    "ratio-ignored": lambda g, mu, table: {rho: (nu, 1) for rho, (nu, _) in table.items()},
+    "longest-key-dropped": lambda g, mu, table: {
+        rho: row
+        for rho, row in table.items()
+        if rho != max(g._terms, key=lambda i: (len(ring._PARTITION[i]), ring._PARTITION[i]))
+    },
 }
 
 
 @pytest.mark.parametrize("rows", KERNEL_MUTANTS.values(), ids=KERNEL_MUTANTS)
 @pytest.mark.parametrize(
-    "check", [ACTION_CHECKS["CS"], verify.check_omega_conjugation], ids=["actions", "omega"]
+    "check",
+    [ACTION_CHECKS["CS"], ACTION_CHECKS["CP"], verify.check_omega_conjugation],
+    ids=["actions", "p-walk", "omega"],
 )
 def test_checks_see_a_faulty_kernel(monkeypatch, rows, check):
     # Every operator sums through ring._perp_sum, which builds its coproduct
-    # table from ring._sub_table.  The faulty kernel reads altered tables;
-    # by and image are evaluated first, so no cached conversion reads them,
-    # and the literal sums in oracles skew by ring.skew, a route of their own.
+    # table from ring._sub_table; CP's kernel walks that table's keys.  The
+    # faulty kernel reads altered tables; by and image are evaluated first,
+    # so no cached conversion reads them, and the literal sums in oracles
+    # skew by ring.skew, a route of their own.
     _, cases, bad = verify.run_check(check, BOUNDS)
     assert cases and not bad, bad
     kernel, sub_table = ring._perp_sum, ring._sub_table
 
-    def faulty(g, lams, by, image):
-        lams = list(lams)
-        bys, images = {lam: by(lam) for lam in lams}, {lam: image(lam) for lam in lams}
+    def faulty(g, by, image, max_length=None):
+        lams = list(partitions_upto(g.degree(), max_length))
+        if by != "p":
+            by = {lam: by(lam) for lam in lams}.__getitem__
+        images = {lam: image(lam) for lam in lams}
         with monkeypatch.context() as patch:
-            patch.setattr(ring, "_sub_table", lambda mu: rows(mu, sub_table(mu)))
-            return kernel(g, lams, bys.__getitem__, images.__getitem__)
+            patch.setattr(ring, "_sub_table", lambda mu: rows(g, mu, sub_table(mu)))
+            return kernel(g, by, images.__getitem__, max_length)
 
     monkeypatch.setattr(vertex, "_perp_sum", faulty)
     _, patched_cases, patched_bad = verify.run_check(check, BOUNDS)

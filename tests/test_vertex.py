@@ -4,7 +4,7 @@ from unittest.mock import Mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symfunc import ring, vertex
+from symfunc import partitions, ring, vertex
 from symfunc.partitions import (
     Partition,
     add_columns,
@@ -277,10 +277,12 @@ _operands = st.tuples(
 
 
 def _kernel_terms(by_basis, cancel, image_basis, coefficient):
-    """A (by, image) pair as the operators pass it: by(lam) is b_lam, or
-    b_lam * _CANCELLING; image(lam) is (c, f) with c one of the operators'
-    coefficient kinds and f a basis element two boxes larger, or (0, 0), as
-    CS's straighten sign 0 gives, on odd lengths."""
+    """A (by, image) pair as the operators pass it, and by as a function for
+    the literal sum: by(lam) is b_lam, or b_lam * _CANCELLING, or "p", the
+    power sums the kernel walks by g's table keys; image(lam) is (c, f) with
+    c one of the operators' coefficient kinds and f a basis element two
+    boxes larger, or (0, 0), as CS's straighten sign 0 gives, on odd
+    lengths."""
 
     def by(lam):
         f = b(by_basis, lam)
@@ -292,34 +294,67 @@ def _kernel_terms(by_basis, cancel, image_basis, coefficient):
         c = Fraction(1, z_value(lam)) if coefficient == "z" else (-1) ** sum(lam)
         return c, b(image_basis, insert_parts(lam, P((2,))))
 
-    return by, image
+    if by_basis == "p-walk":
+        return "p", lambda lam: b("p", lam), image
+    return by, by, image
 
 
 @given(
     _operands,
-    st.sampled_from("pmhesf"),
+    st.sampled_from(("p-walk",) + tuple("pmhesf")),
     st.booleans(),
     st.sampled_from("pmhesf"),
     st.sampled_from(("z", "sign", "zero")),
+    st.one_of(st.none(), st.integers(0, 4)),
 )
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_kernel_is_the_literal_sum(g, by_basis, cancel, image_basis, coefficient):
-    by, image = _kernel_terms(by_basis, cancel, image_basis, coefficient)
-    lams = list(partitions_upto(g.degree()))
-    want = SymFunc.sum((c, f * skew(by(lam), g)) for lam in lams for c, f in (image(lam),))
-    assert ring._perp_sum(g, lams, by, image) == want
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_kernel_is_the_literal_sum(g, by_basis, cancel, image_basis, coefficient, max_length):
+    by, literal_by, image = _kernel_terms(by_basis, cancel, image_basis, coefficient)
+    lams = partitions_upto(g.degree(), max_length)
+    want = SymFunc.sum((c, f * skew(literal_by(lam), g)) for lam in lams for c, f in (image(lam),))
+    assert ring._perp_sum(g, by, image, max_length) == want
 
 
 def test_kernel_skips_the_image_of_a_cancelled_skew():
     # every numerator of _CANCELLING^perp _CANCELLED cancels, so no image is
     # asked for; skewing by 1 leaves _CANCELLED, whose image is asked for once
     image = Mock(return_value=(1, one))
-    assert ring._perp_sum(_CANCELLED, [P(())], lambda lam: _CANCELLING, image).is_zero
+    assert ring._perp_sum(_CANCELLED, lambda lam: _CANCELLING, image, 0).is_zero
     image.assert_not_called()
-    got = ring._perp_sum(_CANCELLED, [P(())], lambda lam: one, image)
+    got = ring._perp_sum(_CANCELLED, lambda lam: one, image, 0)
     assert got == _CANCELLED
     image.assert_called_once_with(P(()))
-    assert ring._perp_sum(SymFunc.zero(), [P(())], lambda lam: one, image).is_zero
+    assert ring._perp_sum(SymFunc.zero(), lambda lam: one, image, 0).is_zero
+
+
+def test_p_walk_asks_only_for_the_table_keys():
+    # p_lam^perp g is nonzero only for lam a sub-multiset of an index of g,
+    # so the p-walk asks for the image of those alone, of at most max_length
+    # parts
+    g = b("p", (3, 1)) - b("p", (2,))
+    image = Mock(return_value=(1, one))
+    ring._perp_sum(g, "p", image, 1)
+    asked = {call.args[0] for call in image.call_args_list}
+    assert asked == {P(()), P((3,)), P((1,)), P((2,))}
+
+
+def test_short_walk_at_high_degree_enumerates_no_whole_degree_past_20():
+    # m_lam^perp p_30 for l(lam) <= 1 needs the 31 one-part lam, not the
+    # 25,915 partitions of 21..30
+    partitions._all_partitions.cache_clear()
+    image = Mock(return_value=(1, one))
+    got = ring._perp_sum(pn(30), lambda lam: b("m", lam), image, 1)
+    assert got == pn(30) + 30 * one and image.call_count == 2
+    assert partitions._all_partitions.cache_info().currsize <= 21
+
+
+def test_cp_at_degree_100_interns_a_handful_of_partitions():
+    # walking every partition of length <= 3 up to degree 100 would intern
+    # 30,787 of them for this one-term result
+    g = pn(100)
+    before = len(ring._PARTITION)
+    assert cp_column(50, 3, g) == b("p", (150, 50, 50))
+    assert len(ring._PARTITION) - before < 10
 
 
 def test_rs_anticommutation_small():
